@@ -69,8 +69,6 @@ from .dualsolver import (
     dual_objective,
     duality_gap_report,
     eval_conjugate,
-    primal_frank_wolfe,
-    solve_dual_subgradient,
     support_function,
 )
 from .verify import (

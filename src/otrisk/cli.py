@@ -12,13 +12,15 @@ weight; a header line is skipped when its first token is not a number.
 Reports serialize every real with 17 significant digits so that parsing
 the file back recovers the exact doubles.  Exit codes: 0 success (or a
 certified-but-not-converged dual run, which carries a warning field),
-1 check violations, 2 input/spec parse errors, 3 numeric failures.
+1 check violations, 2 input/spec parse errors, 3 numeric failures,
+including a report that would hold inf or nan.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -26,7 +28,7 @@ import tempfile
 import numpy as np
 
 from .dualsolver import SolverOptions, duality_gap_report
-from .errors import OTRiskError
+from .errors import NonFiniteValue, OTRiskError
 from .measures import INF, DiscreteMeasure, Order, as_order, from_samples
 from .riskmeasures import (
     CVaR,
@@ -81,8 +83,15 @@ def _escape(s: str) -> str:
     return "".join(out)
 
 
+def _non_finite(text: str) -> NonFiniteValue:
+    return NonFiniteValue(f"a report cannot hold the non-finite number {text}")
+
+
 def emit_json(obj, indent: int = 0) -> str:
-    """Serialize with %.17g for floats (exact double round-trip)."""
+    """Serialize with %.17g for floats (exact double round-trip).
+
+    Raises :class:`NonFiniteValue` for inf or nan, which JSON cannot hold.
+    """
     pad = "  " * indent
     if obj is None:
         return "null"
@@ -91,7 +100,10 @@ def emit_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return "%.17g" % float(obj)
+        text = "%.17g" % float(obj)
+        if not math.isfinite(obj):
+            raise _non_finite(text)
+        return text
     if isinstance(obj, str):
         return '"%s"' % _escape(obj)
     if isinstance(obj, dict):
@@ -103,9 +115,15 @@ def emit_json(obj, indent: int = 0) -> str:
         )
         return "{\n%s\n%s}" % (inner, pad)
     if isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
+        items = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
         if not items:
             return "[]"
+        if set(map(type, items)) == {float}:
+            # witness vectors: one formatting pass instead of a call per float
+            text = ", ".join(map("%.17g".__mod__, items))
+            if "n" in text:  # only "inf" and "nan" spell an n
+                raise _non_finite(next(t for t in text.split(", ") if "n" in t))
+            return "[%s]" % text
         if all(isinstance(v, (int, float, np.integer, np.floating)) for v in items):
             return "[%s]" % ", ".join(emit_json(v) for v in items)
         inner = ",\n".join("%s  %s" % (pad, emit_json(v, indent + 1)) for v in items)
@@ -328,13 +346,12 @@ def _measure_summary(m: DiscreteMeasure) -> dict:
     }
 
 
-def _coupling_summary(coupling) -> dict:
-    second = coupling.second_marginal
+def _coupling_summary(coupling, target: DiscreteMeasure) -> dict:
     return {
         "n_atoms": coupling.n_atoms,
         "objective": coupling.objective(),
-        "target_positions": second.positions.tolist(),
-        "target_weights": second.weights.tolist(),
+        "target_positions": target.positions.tolist(),
+        "target_weights": target.weights.tolist(),
     }
 
 
@@ -361,14 +378,18 @@ def cmd_eval(args) -> tuple[dict, int]:
             generators = _spec_generators(spec)
             if generators.hull_mode is HullMode.CONVEX_HULL:
                 gap = duality_gap_report(measure, generators, _solver_options(args))
+                target = generators.mixture_measure(gap.primal_weights)
                 report["value"] = gap.primal_lower
-                report["coupling"] = _coupling_summary(gap.primal_coupling)
+                report["status"] = gap.status.value
+                report["gap"] = gap.gap
+                report["coupling"] = _coupling_summary(gap.primal_coupling, target)
             else:
                 value, idx = finite_set_value(measure, generators)
-                coupling = comonotone_coupling(measure, generators.vertex_measure(idx))
+                target = generators.vertex_measure(idx)
+                coupling = comonotone_coupling(measure, target)
                 report["value"] = value
                 report["vertex_index"] = idx
-                report["coupling"] = _coupling_summary(coupling)
+                report["coupling"] = _coupling_summary(coupling, target)
     except OTRiskError as exc:
         raise CliError(EXIT_NUMERIC, type(exc).__name__, str(exc)) from exc
     return report, EXIT_OK
@@ -511,6 +532,10 @@ def main(argv=None) -> int:
     out_path = args.out
     try:
         report, code = args.handler(args)
+        try:
+            text = emit_json(report)
+        except NonFiniteValue as exc:
+            raise CliError(EXIT_NUMERIC, type(exc).__name__, str(exc)) from exc
     except CliError as exc:
         error_report = {
             "schema_version": SCHEMA_VERSION,
@@ -519,7 +544,7 @@ def main(argv=None) -> int:
         }
         _write_report(emit_json(error_report) + "\n", out_path)
         return exc.exit_code
-    _write_report(emit_json(report) + "\n", out_path)
+    _write_report(text + "\n", out_path)
     return code
 
 

@@ -1,4 +1,4 @@
-"""Primal and dual solvers for finitely generated target families.
+"""The exact hull solver and the certified duality-gap report.
 
 For a target family on the grid y_0 < ... < y_K the dual program
 minimizes, over vectors g with g[0] pinned to 0,
@@ -8,19 +8,21 @@ minimizes, over vectors g with g[0] pinned to 0,
 which upper-bounds the transport value for every g (weak duality) and
 meets it at the optimum.  The primal side maximizes the concave map
 lambda -> transport_value(m, mixture(lambda)) over the vertex simplex.
+With Phi(u) = int_0^u q_m the integrated quantile of m, d_k = y_{k+1} - y_k
+and C_k(lambda) the mixture's cumulative weight up to y_k, that map is
 
-The workhorses:
+    y_K Phi(1) - sum_{k<K} d_k Phi(C_k(lambda)).
 
-* :func:`primal_frank_wolfe` — ascent on the mixture weights; the exact
-  potentials of the current mixture double as the linearization oracle,
-  so every iterate carries a certified ascent gap.
-* :func:`solve_dual_subgradient` — plain subgradient descent on J with
-  diminishing or Polyak steps, warm-started from the exact potentials of
-  the best single generator.
-* :func:`double_conjugate_refine` — one biconjugation sweep; never
-  increases J and is idempotent.
-* :func:`duality_gap_report` — chains the above into a certificate with
-  explicit primal and dual witnesses.
+Phi is convex and piecewise linear with the sorted atoms of m as slopes,
+so the hull value is a finite LP in lambda and phi_k >= Phi(C_k(lambda)).
+:func:`duality_gap_report` solves it by Kelley's cutting planes: a small
+master LP holds some of the linear pieces of Phi for each k, each round
+adds the piece of the cell that holds C_k(lambda), and the loop ends, with
+the exact optimum, once every such piece is already in the master.  The
+master's optimal multipliers give the dual potential.
+
+:func:`double_conjugate_refine` is one biconjugation sweep of any
+potential; it never increases J and is idempotent.
 """
 
 from __future__ import annotations
@@ -31,14 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadOptions, NonFiniteValue, WrongMode
+from .errors import BadOptions, NonFiniteValue
 from .measures import DiscreteMeasure
 from .transport import (
     Coupling,
     GeneratorSet,
     HullMode,
     comonotone_coupling,
-    exact_potentials,
     finite_set_value,
     transport_value,
 )
@@ -51,18 +52,13 @@ __all__ = [
     "eval_conjugate",
     "support_function",
     "dual_objective",
-    "solve_dual_subgradient",
-    "primal_frank_wolfe",
     "double_conjugate_refine",
     "duality_gap_report",
 ]
 
-SUBGRADIENT_ITERS_DEFAULT = 50_000
-FRANK_WOLFE_ITERS_DEFAULT = 2_000
-# convergence is re-tested every this many subgradient iterations
-CHECK_EVERY = 100
-# give up after this many iterations without a new best value
-STALL_ITERS = 2_000
+# reduced costs and pivot entries of the (unit-scaled) master below this
+# are treated as zero
+SIMPLEX_TOL = 1e-12
 
 
 class SolveStatus(enum.Enum):
@@ -72,13 +68,14 @@ class SolveStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Iteration budgets and the target duality gap.
+    """Round budget and the target duality gap.
 
-    ``max_iters = None`` means the per-solver default (50 000 subgradient
-    steps, 2 000 Frank-Wolfe steps).  ``target_gap`` is applied in mixed
-    absolute/relative form: converged when gap <= target_gap * (1 + |primal|).
-    ``seed`` is reserved for randomized restart schedules; the bundled
-    solvers are deterministic and do not consume it.
+    ``max_iters`` caps the cutting-plane rounds; ``None`` runs them until
+    the master is exact, which takes at most K*n rounds.  ``target_gap``
+    is applied in mixed absolute/relative form: converged when
+    gap <= target_gap * (1 + |primal|).  ``seed`` is reserved for
+    randomized schedules; the solver is deterministic and does not
+    consume it.
     """
 
     max_iters: int | None = None
@@ -94,12 +91,6 @@ class SolverOptions:
             raise BadOptions(f"target_gap must be positive and finite, got {self.target_gap!r}")
         if not isinstance(self.seed, int):
             raise BadOptions(f"seed must be an integer, got {self.seed!r}")
-
-    def subgradient_iters(self) -> int:
-        return self.max_iters if self.max_iters is not None else SUBGRADIENT_ITERS_DEFAULT
-
-    def frank_wolfe_iters(self) -> int:
-        return self.max_iters if self.max_iters is not None else FRANK_WOLFE_ITERS_DEFAULT
 
 
 @dataclass(frozen=True)
@@ -186,160 +177,124 @@ def double_conjugate_refine(m: DiscreteMeasure, R: GeneratorSet, g) -> DualPoten
 
 
 # ----------------------------------------------------------------------
-# subgradient descent on the dual
+# the cutting-plane solver
 
 
-def _objective_and_subgradient(m, R, gv):
-    """Dual objective at gv and a subgradient with the pinned slot zeroed.
+def _pivot(T: np.ndarray, basis: list, row: int, col: int) -> None:
+    T[row] /= T[row, col]
+    column = T[:, col].copy()
+    column[row] = 0.0
+    T -= np.outer(column, T[row])
+    basis[row] = col
 
-    The subgradient is r^(v*) - q: v* the support-function argmax and q
-    the pushforward of m-mass onto the conjugate argmax grid points.
+
+def _master(A, d, xs, beta, cut_k, cut_i, v0):
+    """Solve the master LP; returns (lambda, cut multipliers).
+
+    In units where the atoms run from 0 to 1 (the first piece of Phi is
+    then phi_k >= 0), the master reads
+
+        min d.s   s.t.  sum(lambda) = 1,
+                        xs_i C_k(lambda) - s_k <= beta_i   for each cut (k, i),
+                        lambda, s >= 0,
+
+    with beta_i = xs_i e_i - Phi(e_i) >= 0 at the left cell edge e_i.
+    A dense tableau simplex with Bland's rule starts from lambda at
+    vertex v0, each s_k basic in its most violated cut and the other
+    cuts' slacks, which is feasible, so no phase one is needed.
     """
-    x, w = m.positions, m.weights
-    scores = x[:, None] * R.support[None, :] - gv[None, :]
-    ki = np.argmax(scores, axis=1)
-    conj = scores[np.arange(x.size), ki]
-    inner = R.vertices @ gv
-    vi = int(np.argmax(inner))
-    J = math.fsum((conj * w).tolist()) + float(inner[vi])
-    q = np.bincount(ki, weights=w, minlength=R.support.size)
-    s = R.vertices[vi] - q
-    s[0] = 0.0  # pinned coordinate never moves
-    return J, s
+    V, K = A.shape
+    R = cut_k.size
+    T = np.zeros((R + 2, V + K + R + 1))
+    rows = np.arange(R)
+    T[:R, :V] = xs[cut_i][:, None] * A[:, cut_k].T
+    T[rows, V + cut_k] = -1.0
+    T[rows, V + K + rows] = 1.0
+    T[:R, -1] = beta[cut_i]
+    T[R, :V] = 1.0
+    T[R, -1] = 1.0
+    T[R + 1, V : V + K] = d
+    basis = list(range(V + K, V + K + R)) + [-1]
 
+    _pivot(T, basis, R, v0)
+    for k in range(K):
+        group = np.flatnonzero(cut_k == k)
+        if group.size:
+            p = int(group[np.argmin(T[group, -1])])
+            if T[p, -1] < 0.0:
+                _pivot(T, basis, p, V + k)
 
-def _warm_start(m: DiscreteMeasure, R: GeneratorSet) -> tuple[np.ndarray, float]:
-    """Exact potentials of the best single generator, extended to the grid.
-
-    Returns (pinned g vector, that generator's transport value).  The
-    value is a valid primal lower bound in both hull modes.
-    """
-    value, idx = finite_set_value(m, R, allow_lower_bound=True)
-    pair = exact_potentials(m, R.vertex_measure(idx), y_support=R.support)
-    g0 = pair.g_values - pair.g_values[0]
-    return g0, value
-
-
-def solve_dual_subgradient(
-    m: DiscreteMeasure,
-    R: GeneratorSet,
-    opts: SolverOptions = SolverOptions(),
-    primal_lower: float | None = None,
-    init=None,
-) -> tuple[DualPotential, float, list[tuple[int, float]]]:
-    """Subgradient descent on the dual objective over g (g[0] pinned).
-
-    The subgradient at g is r^(v*) - q, where v* is the support-function
-    argmax and q_k collects the m-mass whose conjugate argmax is k.
-    Steps are Polyak ((J - primal_lower)/||s||^2) when a primal lower
-    bound is known, else diminishing s0/sqrt(iter) with s0 set by the
-    scale of the instance.  Returns (best potential, its objective, a
-    trace of (iteration, best value) checkpoints).
-    """
-    if init is None:
-        g, warm_value = _warm_start(m, R)
-        if primal_lower is None:
-            primal_lower = warm_value
-    else:
-        g = _as_g(init).copy()
-        g = g - g[0]
-    x, y = m.positions, R.support
-
-    def objective_and_subgrad(gv):
-        return _objective_and_subgradient(m, R, gv)
-
-    max_iters = opts.subgradient_iters()
-    J, s = objective_and_subgrad(g)
-    best_g, best_J = g.copy(), J
-    trace = [(0, best_J)]
-    s0 = (float(x[-1] - x[0])) * float(np.abs(y).max())
-    if s0 == 0.0:
-        s0 = (1.0 + float(np.abs(x).max())) * max(float(np.abs(y).max()), 1.0)
-
-    it = 0
-    last_improved = 0
-    while it < max_iters:
-        it += 1
-        norm_sq = float(s @ s)
-        if norm_sq == 0.0:
-            break  # exact minimizer found
-        if primal_lower is not None:
-            excess = J - primal_lower
-            if excess <= 0.0:
-                break  # certified optimal against the lower bound
-            step = excess / norm_sq
-        else:
-            step = s0 / math.sqrt(it)
-        g = g - step * s
-        J, s = objective_and_subgrad(g)
-        if J < best_J:
-            best_J = J
-            best_g = g.copy()
-            last_improved = it
-        if it % CHECK_EVERY == 0 or it == max_iters:
-            trace.append((it, best_J))
-            if it - last_improved >= STALL_ITERS:
-                break  # best iterate has plateaued; more steps only oscillate
-        if primal_lower is not None and best_J - primal_lower <= opts.target_gap * (
-            1.0 + abs(primal_lower)
-        ):
+    cost_tol = SIMPLEX_TOL * max(1.0, float(d.max(initial=0.0)))
+    while True:
+        entering = np.flatnonzero(T[-1, :-1] < -cost_tol)
+        if entering.size == 0:
             break
-    if trace[-1][0] != it:
-        trace.append((it, best_J))
-    return DualPotential(best_g), best_J, trace
+        col = int(entering[0])
+        candidates = np.flatnonzero(T[:-1, col] > SIMPLEX_TOL)
+        ratios = T[candidates, -1] / T[candidates, col]
+        ties = candidates[ratios <= ratios.min()]
+        row = int(min(ties, key=basis.__getitem__))
+        _pivot(T, basis, row, col)
+
+    basis = np.array(basis)
+    lam = np.zeros(V)
+    in_lam = basis < V
+    lam[basis[in_lam]] = np.maximum(T[:-1, -1][in_lam], 0.0)
+    # a cut's multiplier is the reduced cost of its slack
+    return lam / lam.sum(), np.maximum(T[-1, V + K : V + K + R], 0.0)
 
 
-# ----------------------------------------------------------------------
-# Frank-Wolfe ascent on the primal hull problem
+def _cutting_planes(m: DiscreteMeasure, R: GeneratorSet, max_rounds):
+    """Optimal mixture weights and dual potential of the hull problem.
 
-
-def _frank_wolfe(m, R, opts):
-    if R.hull_mode is not HullMode.CONVEX_HULL:
-        raise WrongMode("Frank-Wolfe solves the convex-hull problem; got a finite set")
-
-    # start at the best single generator
-    start_value, start_idx = finite_set_value(m, R, allow_lower_bound=True)
-    lam = np.zeros(R.n_vertices)
-    lam[start_idx] = 1.0
-    best_lam, best_value = lam.copy(), start_value
-
-    max_iters = opts.frank_wolfe_iters()
-    it = 0
-    for it in range(1, max_iters + 1):
-        mixture = R.mixture_measure(lam)
-        value = transport_value(m, mixture)
-        if value > best_value:
-            best_value, best_lam = value, lam.copy()
-        pair = exact_potentials(m, mixture, y_support=R.support)
-        scores = R.vertices @ pair.g_values
-        v_star = int(np.argmax(scores))
-        r_lam = lam @ R.vertices
-        ascent_gap = float(scores[v_star]) - float(r_lam @ pair.g_values)
-        if ascent_gap <= 0.25 * opts.target_gap * (1.0 + abs(best_value)):
-            break
-        gamma = 2.0 / (it + 2.0)
-        lam = (1.0 - gamma) * lam
-        lam[v_star] += gamma
-    best_lam.setflags(write=False)
-    return best_lam, best_value, R.mixture_measure(best_lam), it
-
-
-def primal_frank_wolfe(
-    m: DiscreteMeasure,
-    R: GeneratorSet,
-    opts: SolverOptions = SolverOptions(),
-) -> tuple[np.ndarray, float, DiscreteMeasure]:
-    """Maximize transport_value(m, .) over mixtures of the generators.
-
-    Classical Frank-Wolfe with step 2/(k+2) on the vertex simplex.  The
-    exact potentials of the current mixture give a linear upper bound
-    whose vertex scores <g, r^(v)> pick the ascent direction; the same
-    bound yields a per-iterate ascent gap used for early stopping.
-    Returns (mixture weights, value, mixture measure); the value is a
-    valid lower bound on the hull value at every iterate.
+    Returns (lambda, g, rounds).  Each round solves the master, finds
+    for each k the cell of m holding C_k(lambda) by binary search, and
+    adds that cell's piece of Phi when the master lacks it; with no
+    piece to add the master is exact and both witnesses are optimal.
+    The multipliers pi of the cuts of k average their slopes into a
+    subgradient xi_k of Phi at C_k, and g_{k+1} = g_k + d_k xi_k.
     """
-    lam, value, mixture, _ = _frank_wolfe(m, R, opts)
-    return lam, value, mixture
+    x, cum = m.positions, m.cumulative
+    n = x.size
+    # the prefix is built over the cell widths, so cells and prefix agree
+    edges = np.concatenate(([0.0], cum[:-1]))
+    widths = cum - edges
+    span = float(x[-1] - x[0])
+    xs = (x - x[0]) / span if span > 0.0 else np.zeros(n)
+    phi = np.concatenate(([0.0], np.cumsum(xs[:-1] * widths[:-1])))
+    beta = np.maximum(xs * edges - phi, 0.0)
+    d = np.diff(R.support)
+    K = d.size
+    A = np.cumsum(R.vertices, axis=1)[:, :K]
+
+    def cells(u):
+        return np.minimum(np.searchsorted(cum, u, side="left"), n - 1)
+
+    # start from the vertex with the best value, Phi read off the prefix
+    i = cells(A)
+    v0 = int(np.argmin((phi[i] + xs[i] * (A - edges[i])) @ d))
+
+    cut_k = np.arange(K) if n > 1 else np.zeros(0, dtype=np.intp)
+    cut_i = np.full(cut_k.size, n - 1)
+    have = set(zip(cut_k.tolist(), cut_i.tolist()))
+    rounds = 0
+    while True:
+        rounds += 1
+        lam, pi = _master(A, d, xs, beta, cut_k, cut_i, v0)
+        new = [
+            (k, i)
+            for k, i in enumerate(cells(lam @ A).tolist())
+            if i > 0 and (k, i) not in have
+        ]
+        if not new or (max_rounds is not None and rounds >= max_rounds):
+            break
+        have.update(new)
+        cut_k = np.concatenate((cut_k, [k for k, _ in new]))
+        cut_i = np.concatenate((cut_i, [i for _, i in new]))
+
+    steps = d * x[0] + span * np.bincount(cut_k, weights=pi * xs[cut_i], minlength=K)
+    g = np.concatenate(([0.0], np.cumsum(steps)))
+    return lam, g, rounds
 
 
 # ----------------------------------------------------------------------
@@ -351,34 +306,26 @@ def duality_gap_report(
 ) -> GapReport:
     """Sandwich the family's value between a primal witness and a dual bound.
 
-    ConvexHull: Frank-Wolfe supplies the primal mixture.  FiniteSet: the
-    exact vertex max is the primal side, and the dual still certifies the
-    hull closure, so a genuinely mixing finite family reports an honest
-    positive gap.  The dual side warm-starts the subgradient descent from
-    the exact potentials of the primal witness and refines the best
-    iterate by biconjugation.
+    The cutting-plane solver supplies the optimal mixture weights and
+    the dual potential g; ``dual_upper`` is ``dual_objective`` of g,
+    recomputed and never taken from the master.  ConvexHull: the primal
+    is the transport value of the optimal mixture.  FiniteSet: the exact
+    vertex max is the primal side, and the same g certifies the hull
+    closure, so a genuinely mixing finite family reports an honest
+    positive gap.
     """
+    lam, g, rounds = _cutting_planes(m, R, opts.max_iters)
     if R.hull_mode is HullMode.CONVEX_HULL:
-        lam, primal, mixture, fw_iters = _frank_wolfe(m, R, opts)
+        mixture = R.mixture_measure(lam)
+        primal = transport_value(m, mixture)
     else:
         primal, idx = finite_set_value(m, R)
         lam = np.zeros(R.n_vertices)
         lam[idx] = 1.0
-        lam.setflags(write=False)
         mixture = R.vertex_measure(idx)
-        fw_iters = 0
-    coupling = comonotone_coupling(m, mixture)
-
-    pair = exact_potentials(m, mixture, y_support=R.support)
-    init = DualPotential(pair.g_values)
-    g_best, dual_value, trace = solve_dual_subgradient(
-        m, R, opts, primal_lower=primal, init=init
-    )
-    refined = double_conjugate_refine(m, R, g_best)
-    refined_value = dual_objective(m, R, refined)
-    if refined_value <= dual_value:
-        g_best, dual_value = refined, refined_value
-
+    lam.setflags(write=False)
+    dual = DualPotential(g)
+    dual_value = dual_objective(m, R, dual)
     gap = dual_value - primal
     status = (
         SolveStatus.CONVERGED
@@ -390,8 +337,8 @@ def duality_gap_report(
         dual_upper=dual_value,
         gap=gap,
         primal_weights=lam,
-        primal_coupling=coupling,
-        dual_witness=g_best,
-        iterations={"frank_wolfe": fw_iters, "subgradient": trace[-1][0]},
+        primal_coupling=comonotone_coupling(m, mixture),
+        dual_witness=dual,
+        iterations={"cutting_plane": rounds},
         status=status,
     )

@@ -131,17 +131,19 @@ class DiscreteMeasure:
                 f"positions and weights must be equal-length vectors, "
                 f"got shapes {pos.shape} and {w.shape}"
             )
-        if not np.all(np.isfinite(pos)):
+        # array methods and slices, not np.all/np.diff: this runs once per
+        # evaluated vector, and their wrappers cost more than the work
+        if not np.isfinite(pos).all():
             raise NonFiniteValue("positions must be finite")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise NonFiniteValue("weights must be finite")
-        if np.any(w <= 0.0):
+        if (w <= 0.0).any():
             raise NegativeWeight("weights must be strictly positive")
 
-        order = np.argsort(pos, kind="stable")
+        order = pos.argsort(kind="stable")
         pos = pos[order]
         w = w[order]
-        if pos.size > 1 and np.any(np.diff(pos) == 0.0):
+        if (pos[1:] == pos[:-1]).any():
             # merge exact duplicates (positions equal bit-for-bit)
             uniq, inverse = np.unique(pos, return_inverse=True)
             merged = np.zeros(uniq.size)
@@ -158,10 +160,9 @@ class DiscreteMeasure:
 
         cum = np.cumsum(w)
         cum[-1] = 1.0
-        widths = np.diff(cum, prepend=0.0)
-        if np.any(widths <= 0.0):
+        if cum[0] <= 0.0 or (cum[1:] <= cum[:-1]).any():
             # an atom so light it vanishes at cumulative resolution; drop it
-            keep = widths > 0.0
+            keep = np.diff(cum, prepend=0.0) > 0.0
             pos, w = pos[keep], w[keep]
             w = w / math.fsum(w.tolist())
             cum = np.cumsum(w)
@@ -276,7 +277,7 @@ def from_samples(values: Sequence[float], weights: Sequence[float] | None = None
         raise EmptyInput("empty sample")
     if vals.ndim != 1:
         raise LengthMismatch("values must be a flat sequence")
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise NonFiniteValue("sample values must be finite")
     if weights is None:
         w = np.full(vals.size, 1.0 / vals.size)
@@ -286,12 +287,12 @@ def from_samples(values: Sequence[float], weights: Sequence[float] | None = None
             raise LengthMismatch(
                 f"{vals.size} values but {w.size} weights"
             )
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise NonFiniteValue("weights must be finite")
-        if np.any(w < 0.0):
+        if (w < 0.0).any():
             raise NegativeWeight("weights must be nonnegative")
         keep = w > 0.0
-        if not np.any(keep):
+        if not keep.any():
             raise ZeroTotalWeight("weights sum to zero")
         vals, w = vals[keep], w[keep]
         w = w / math.fsum(w.tolist())

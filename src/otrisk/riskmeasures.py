@@ -276,10 +276,11 @@ class KusuokaMixture:
             (float(b), float(w)) for b, w in np.atleast_2d(np.asarray(self.atoms, float))
         )
         object.__setattr__(self, "atoms", norm)
-        kusuoka_image(norm)  # validate eagerly
+        # built (and so validated) eagerly, then shared by every evaluation
+        object.__setattr__(self, "_image", kusuoka_image(norm))
 
     def image(self) -> KusuokaImage:
-        return kusuoka_image(self.atoms)
+        return self._image
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ A :class:`GeneratorSet` is the finite description of a whole family of
 target measures: a common support grid plus one weight vector per
 generator, tagged by whether the family means the finite set itself or
 its convex hull.  Values over the finite set are an exact max here; hull
-values need the iterative solvers in :mod:`otrisk.dualsolver`.
+values come from the cutting-plane solver in :mod:`otrisk.dualsolver`.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class GeneratorSet:
     family is the finite set of rows or their convex hull.
     """
 
-    __slots__ = ("support", "vertices", "hull_mode")
+    __slots__ = ("support", "vertices", "hull_mode", "_vertex_measures")
 
     def __init__(self, support, vertices, hull_mode: HullMode = HullMode.FINITE_SET):
         y = np.atleast_1d(np.asarray(support, dtype=float))
@@ -105,6 +105,7 @@ class GeneratorSet:
         object.__setattr__(self, "support", y)
         object.__setattr__(self, "vertices", V)
         object.__setattr__(self, "hull_mode", HullMode(hull_mode))
+        object.__setattr__(self, "_vertex_measures", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GeneratorSet is immutable")
@@ -123,8 +124,14 @@ class GeneratorSet:
         return self.vertices.shape[0]
 
     def vertex_measure(self, v: int) -> DiscreteMeasure:
-        """Row ``v`` as a measure (zero-weight grid points dropped)."""
-        return from_samples(self.support, self.vertices[v])
+        """Row ``v`` as a measure (zero-weight grid points dropped).
+
+        The rows' measures are built once, on first use, and shared.
+        """
+        if self._vertex_measures is None:
+            built = tuple(from_samples(self.support, row) for row in self.vertices)
+            object.__setattr__(self, "_vertex_measures", built)
+        return self._vertex_measures[v]
 
     def mixture_measure(self, weights) -> DiscreteMeasure:
         """Convex combination of the rows as a measure.
@@ -150,9 +157,9 @@ class GeneratorSet:
 
 
 class Coupling:
-    """Finitely supported measure on the plane with cached marginals."""
+    """Finitely supported measure on the plane; marginals built on first use."""
 
-    __slots__ = ("xs", "ys", "masses", "first_marginal", "second_marginal")
+    __slots__ = ("xs", "ys", "masses", "_first_marginal", "_second_marginal")
 
     def __init__(self, xs, ys, masses):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -172,11 +179,23 @@ class Coupling:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "first_marginal", from_samples(xs, masses))
-        object.__setattr__(self, "second_marginal", from_samples(ys, masses))
+        object.__setattr__(self, "_first_marginal", None)
+        object.__setattr__(self, "_second_marginal", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Coupling is immutable")
+
+    @property
+    def first_marginal(self) -> DiscreteMeasure:
+        if self._first_marginal is None:
+            object.__setattr__(self, "_first_marginal", from_samples(self.xs, self.masses))
+        return self._first_marginal
+
+    @property
+    def second_marginal(self) -> DiscreteMeasure:
+        if self._second_marginal is None:
+            object.__setattr__(self, "_second_marginal", from_samples(self.ys, self.masses))
+        return self._second_marginal
 
     @property
     def n_atoms(self) -> int:

@@ -257,3 +257,92 @@ def quantile_product_integral(m1, m2, samples: int = 200_001) -> float:
     q1 = m1.positions[np.searchsorted(m1.cumulative, t, side="left")]
     q2 = m2.positions[np.searchsorted(m2.cumulative, t, side="left")]
     return float(q1 @ q2) / samples
+
+
+# ----------------------------------------------------------------------
+# hull values
+
+
+def _quantile_product(x_sorted, cum_x, y, cum_y) -> float:
+    """Quantile-product integral of two step quantile functions, read at
+    the midpoints of the cells of their merged cumulative grid."""
+    breaks = np.unique(np.concatenate((cum_x, cum_y)))
+    widths = np.diff(breaks, prepend=0.0)
+    mid = breaks - widths / 2.0
+    qx = x_sorted[np.minimum(np.searchsorted(cum_x, mid), x_sorted.size - 1)]
+    qy = y[np.minimum(np.searchsorted(cum_y, mid), y.size - 1)]
+    return math.fsum((qx * qy * widths).tolist())
+
+
+def two_vertex_hull_scan(values, support, rows) -> tuple[float, float]:
+    """Best transport value of an equal-weight sample over the mixtures
+    (1 - t) r0 + t r1, by scanning t over every kink and both ends.
+
+    The value is concave and piecewise linear in t, with kinks where a
+    cumulative mixture weight crosses an edge i/n of the sample, so the
+    best scanned t is a maximizer.  Returns (value, t).
+    """
+    x = np.sort(np.asarray(values, float))
+    n = x.size
+    cum_x = np.arange(1, n + 1) / n
+    y = np.asarray(support, float)
+    r0, r1 = np.asarray(rows, float)
+    a, b = np.cumsum(r0)[:-1], np.cumsum(r1)[:-1]
+    ts = [np.array([0.0, 1.0])]
+    for ak, bk in zip(a, b):
+        if bk != ak:
+            t = (cum_x - ak) / (bk - ak)
+            ts.append(t[(t >= 0.0) & (t <= 1.0)])
+    best, best_t = -math.inf, 0.0
+    for t in np.unique(np.concatenate(ts)).tolist():
+        cum_y = np.cumsum((1.0 - t) * r0 + t * r1)
+        cum_y[-1] = 1.0
+        value = _quantile_product(x, cum_x, y, cum_y)
+        if value > best:
+            best, best_t = value, t
+    return best, best_t
+
+
+def hull_value_lp(values, weights, support, rows) -> float:
+    """The hull value as one transport LP (scipy HiGHS): maximize
+    sum_ik P_ik x_i y_k over couplings P of (values, weights) with a
+    mixture lambda @ rows, jointly in P and lambda."""
+    from scipy.optimize import linprog
+
+    x = np.asarray(values, float)
+    w = np.asarray(weights, float)
+    y = np.asarray(support, float)
+    R = np.atleast_2d(np.asarray(rows, float))
+    n, k, v = x.size, y.size, R.shape[0]
+    cost = np.concatenate((-np.outer(x, y).ravel(), np.zeros(v)))
+    a_x = np.hstack((np.kron(np.eye(n), np.ones((1, k))), np.zeros((n, v))))
+    a_y = np.hstack((np.kron(np.ones((1, n)), np.eye(k)), -R.T))
+    a_lam = np.concatenate((np.zeros(n * k), np.ones(v)))[None, :]
+    res = linprog(
+        cost,
+        A_eq=np.vstack((a_x, a_y, a_lam)),
+        b_eq=np.concatenate((w, np.zeros(k), [1.0])),
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return -float(res.fun)
+
+
+def dual_value_and_subgradient(values, weights, support, rows, g):
+    """J(g) = E[max_k (x y_k - g_k)] + max_v <g, r_v> and a subgradient of
+    it in g: r_{v*} minus the law of the conjugate's argmax, with the
+    pinned slot 0 zeroed."""
+    x = np.asarray(values, float)
+    w = np.asarray(weights, float)
+    y = np.asarray(support, float)
+    R = np.atleast_2d(np.asarray(rows, float))
+    g = np.asarray(g, float)
+    scores = x[:, None] * y[None, :] - g[None, :]
+    ki = scores.argmax(axis=1)
+    inner = R @ g
+    vi = int(inner.argmax())
+    J = math.fsum((scores[np.arange(x.size), ki] * w).tolist()) + float(inner[vi])
+    s = R[vi] - np.bincount(ki, weights=w, minlength=y.size)
+    s[0] = 0.0
+    return J, s

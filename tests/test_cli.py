@@ -1,6 +1,7 @@
 """End-to-end CLI tests driven through main() plus a few real subprocesses."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from otrisk import NonFiniteValue
 from otrisk.cli import emit_json, main
 
 
@@ -99,6 +101,31 @@ def test_eval_explicit_hull(capsys, tmp_path):
     assert code == 0
     assert rep["value"] == pytest.approx(15.0 / 8.0, abs=1e-9)
     assert rep["vertex_index"] in (0, 1)
+
+
+def test_eval_hull_reports_status_and_gap(capsys, tmp_path):
+    path = write_csv(tmp_path, "m.csv", "-2\n0\n2\n3\n")
+    spec = {
+        "type": "explicit",
+        "support": [0.0, 0.5, 1.5, 4.0],
+        "vertices": [[1.0 / 3.0, 0.0, 2.0 / 3.0, 0.0], [0.0, 6.0 / 7.0, 0.0, 1.0 / 7.0]],
+        "hull": True,
+    }
+    code, rep = run_cli(capsys, "eval", "--input", path, "--spec-json", json.dumps(spec))
+    assert code == 0
+    assert rep["status"] == "converged"
+    assert abs(rep["gap"]) <= 1e-12
+    assert rep["value"] == pytest.approx(193.0 / 88.0, abs=1e-12)
+    # the reported target is the optimal mixture, 15/22 and 7/22 of the rows
+    lam = np.array([15.0, 7.0]) / 22.0
+    np.testing.assert_allclose(
+        rep["coupling"]["target_weights"], lam @ np.array(spec["vertices"]), atol=1e-12
+    )
+    assert rep["coupling"]["target_positions"] == spec["support"]
+    code, rep = run_cli(
+        capsys, "eval", "--input", path, "--spec-json", json.dumps(dict(spec, hull=False))
+    )
+    assert "status" not in rep and "gap" not in rep
 
 
 def test_eval_snap_atoms(capsys, tmp_path):
@@ -368,6 +395,36 @@ def test_emit_json_exact_floats():
         assert float(json.loads(emit_json(x))) == x
     doc = {"a": [1, 2.5, "x\"y\n"], "b": {"c": None, "d": True}}
     assert json.loads(emit_json(doc)) == doc
+
+
+def test_emit_json_flat_float_lists():
+    # the one-pass path for float lists writes what a call per float writes
+    values = [0.1, 1.0 / 3.0, 1e-300, 2.0, -0.0, 0.30000000000000004, 1e17, -5e-324]
+    expected = "[%s]" % ", ".join(emit_json(v) for v in values)
+    assert emit_json(values) == expected
+    assert emit_json(np.array(values)) == expected
+    assert emit_json(tuple(values)) == expected
+    for bad in ([1.0, math.inf], [math.nan, 2.0], np.array([0.5, -math.inf]), math.nan):
+        with pytest.raises(NonFiniteValue):
+            emit_json(bad)
+
+
+def test_non_finite_report_is_exit_3(capsys, tmp_path):
+    # tail**p overflows for this input; the report must fail, not hold inf
+    path = write_csv(tmp_path, "big.csv", "0\n1e200\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(
+            ["eval", "--input", path, "--spec-json", '{"type":"higher_moment","p":2,"c":1.2}']
+        )
+    out = capsys.readouterr().out
+
+    def reject(token):
+        raise ValueError(f"non-finite number {token}")
+
+    rep = json.loads(out, parse_constant=reject)
+    assert code == 3
+    assert rep["error"]["kind"] == "NonFiniteValue"
+    assert "value" not in rep
 
 
 def test_console_module_subprocess(tmp_path):

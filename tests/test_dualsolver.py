@@ -1,5 +1,11 @@
-"""Dual/primal solver tests: frozen worked examples plus convexity,
-weak-duality, refinement and coercivity properties on random instances."""
+"""Hull solver tests: frozen worked examples plus convexity,
+weak-duality, refinement and coercivity properties on random instances.
+
+The ``test_frank_wolfe_*`` and ``test_subgradient_*`` tests keep the names
+they had when a Frank-Wolfe ascent and a subgradient descent served hull
+families; they now hold the cutting-plane solver behind
+``duality_gap_report`` to the same oracles, at round-off tolerances.
+"""
 
 import math
 
@@ -8,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from otrisk import (
     BadOptions,
     DualPotential,
@@ -16,7 +23,6 @@ from otrisk import (
     NonFiniteValue,
     SolverOptions,
     SolveStatus,
-    WrongMode,
     cvar_target_set,
     double_conjugate_refine,
     dual_objective,
@@ -24,13 +30,10 @@ from otrisk import (
     eval_conjugate,
     from_samples,
     point_mass,
-    primal_frank_wolfe,
-    solve_dual_subgradient,
     support_function,
     transport_value,
     uniform_on,
 )
-from otrisk.dualsolver import _objective_and_subgradient
 
 # Two unit-mean generators on {0, 0.5, 1.5, 4} whose best mixture strictly
 # beats both endpoints.  Exact rational arithmetic on the comonotone
@@ -42,6 +45,13 @@ MIX_MEASURE_ATOMS = [-2.0, 0.0, 2.0, 3.0]
 MIX_HULL_VALUE = 193.0 / 88.0
 MIX_LAMBDA_STAR = 7.0 / 22.0
 MIX_VERTEX_VALUE = 15.0 / 8.0
+# the README's family on these normal samples ended iter_limit under the
+# former Frank-Wolfe + subgradient solver
+FORMER_ITER_LIMIT_SAMPLES = ((3, 200), (5, 100))
+
+
+def round_off_gap(rep):
+    return 1e-9 * (1.0 + abs(rep.primal_lower))
 
 
 def two_point_set(hull_mode=HullMode.FINITE_SET):
@@ -183,47 +193,51 @@ def test_weak_duality_random(rng=None):
             assert ub >= lb - 1e-9 * (1.0 + abs(lb))
 
 
-# ------------------------------------------------------------- subgradient
+# ------------------------------------------------------------- dual witness
 
 
 def test_subgradient_solver_cvar_example():
     m = uniform_on([1.0, 2.0, 3.0, 4.0])
-    g, value, trace = solve_dual_subgradient(m, cvar_target_set(0.5))
-    assert value == pytest.approx(3.5, abs=1e-4)
-    assert 4.0 - 1e-2 <= g.values[1] <= 6.0 + 1e-2
-    assert trace[0][0] == 0 and trace[-1][1] == pytest.approx(value)
+    rep = duality_gap_report(m, cvar_target_set(0.5))
+    assert rep.dual_upper == pytest.approx(3.5, abs=1e-12)
+    assert 4.0 <= rep.dual_witness.values[1] <= 6.0
+    assert rep.iterations["cutting_plane"] >= 1
 
 
 def test_subgradient_solver_cold_start_without_bound():
-    # forcing init=(0,0) and no primal bound exercises the diminishing rule
+    # the dual witness comes from the hull master alone: the same potential
+    # serves a singleton family in both modes, whatever the primal side is
     m = uniform_on([1.0, 2.0, 3.0, 4.0])
-    g, value, _ = solve_dual_subgradient(
-        m, cvar_target_set(0.5), primal_lower=None, init=DualPotential([0.0, 0.0])
-    )
-    assert value == pytest.approx(3.5, abs=1e-4)
-    assert 4.0 - 1e-2 <= g.values[1] <= 6.0 + 1e-2
+    beta = cvar_target_set(0.5)
+    hull = GeneratorSet(beta.support, beta.vertices, hull_mode=HullMode.CONVEX_HULL)
+    a, b = duality_gap_report(m, beta), duality_gap_report(m, hull)
+    np.testing.assert_array_equal(a.dual_witness.values, b.dual_witness.values)
+    assert dual_objective(m, beta, a.dual_witness) == pytest.approx(3.5, abs=1e-12)
+    assert 4.0 <= a.dual_witness.values[1] <= 6.0
 
 
 def test_subgradient_solver_point_masses():
     for a in (-1.5, 0.0, 2.25):
         for R in (cvar_target_set(0.3), cvar_target_set(0.0)):
-            _, value, _ = solve_dual_subgradient(point_mass(a), R)
-            assert value == pytest.approx(a, abs=1e-6)
+            rep = duality_gap_report(point_mass(a), R)
+            assert rep.dual_upper == pytest.approx(a, abs=1e-12)
 
 
 def test_subgradient_solver_two_atoms():
-    m = uniform_on([1.0, 3.0])
-    _, value, _ = solve_dual_subgradient(m, cvar_target_set(0.5))
-    assert value == pytest.approx(3.0, abs=1e-4)
+    rep = duality_gap_report(uniform_on([1.0, 3.0]), cvar_target_set(0.5))
+    assert rep.dual_upper == pytest.approx(3.0, abs=1e-12)
 
 
 def test_subgradient_convexity_inequality():
+    # dual_objective against an independent subgradient oracle
     rng = np.random.default_rng(80)
     for _ in range(8):
         R = random_generator_set(rng)
         m = random_measure(rng)
         g = pinned(rng, R.n_points)
-        J, s = _objective_and_subgradient(m, R, g)
+        J, s = oracles.dual_value_and_subgradient(
+            m.positions, m.weights, R.support, R.vertices, g
+        )
         assert J == pytest.approx(dual_objective(m, R, g), rel=1e-12, abs=1e-12)
         for _ in range(100):
             g2 = pinned(rng, R.n_points, scale=20.0)
@@ -233,11 +247,12 @@ def test_subgradient_convexity_inequality():
 
 def test_subgradient_respects_iteration_budget():
     m = uniform_on(np.linspace(-2.0, 6.0, 37))
-    R = mixing_set(HullMode.FINITE_SET)
-    _, _, trace = solve_dual_subgradient(
-        m, R, SolverOptions(max_iters=5), init=DualPotential(np.zeros(4))
-    )
-    assert trace[-1][0] <= 5
+    R = mixing_set(HullMode.CONVEX_HULL)
+    rep = duality_gap_report(m, R, SolverOptions(max_iters=1))
+    assert rep.iterations == {"cutting_plane": 1}
+    # a capped run still reports a valid bound from its own potential
+    assert rep.dual_upper == dual_objective(m, R, rep.dual_witness)
+    assert rep.dual_upper >= duality_gap_report(m, R).primal_lower - 1e-12
 
 
 def test_coercivity_along_rays():
@@ -277,38 +292,49 @@ def test_solver_options_validation():
         SolverOptions(target_gap=math.nan)
     with pytest.raises(BadOptions):
         SolverOptions(seed="7")
-    assert SolverOptions().subgradient_iters() == 50_000
-    assert SolverOptions().frank_wolfe_iters() == 2_000
-    assert SolverOptions(max_iters=17).subgradient_iters() == 17
+    # no cap by default: the rounds run until the master is exact
+    assert SolverOptions().max_iters is None
+    m = uniform_on(np.linspace(-2.0, 6.0, 37))
+    R = mixing_set(HullMode.CONVEX_HULL)
+    rounds = duality_gap_report(m, R).iterations["cutting_plane"]
+    assert 2 <= rounds <= (R.n_points - 1) * m.n_atoms
+    capped = duality_gap_report(m, R, SolverOptions(max_iters=rounds - 1))
+    assert capped.iterations["cutting_plane"] == rounds - 1
 
 
-# -------------------------------------------------------------- Frank-Wolfe
+# ------------------------------------------------------------ primal witness
 
 
 def test_frank_wolfe_prefers_the_better_vertex():
     m = uniform_on([1.0, 2.0, 3.0, 4.0])
-    lam, value, mixture = primal_frank_wolfe(m, delta_one_and_tail_hull())
-    assert value == pytest.approx(3.5, abs=1e-3)
-    np.testing.assert_allclose(lam, [0.0, 1.0], atol=1e-9)
-    np.testing.assert_allclose(mixture.positions, [0.0, 2.0])
+    R = delta_one_and_tail_hull()
+    rep = duality_gap_report(m, R)
+    assert rep.primal_lower == pytest.approx(3.5, abs=1e-12)
+    np.testing.assert_allclose(rep.primal_weights, [0.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(R.mixture_measure(rep.primal_weights).positions, [0.0, 2.0])
 
 
 def test_frank_wolfe_single_vertex_hull():
     m = uniform_on([-1.0, 2.0, 7.0])
     R = two_point_set(HullMode.CONVEX_HULL)
-    lam, value, _ = primal_frank_wolfe(m, R)
-    assert lam == pytest.approx([1.0])
-    assert value == pytest.approx(transport_value(m, R.vertex_measure(0)), abs=1e-12)
+    rep = duality_gap_report(m, R)
+    assert rep.primal_weights == pytest.approx([1.0])
+    assert rep.primal_lower == transport_value(m, R.vertex_measure(0))
 
 
 def test_frank_wolfe_point_mass_is_flat():
-    _, value, _ = primal_frank_wolfe(point_mass(-0.75), delta_one_and_tail_hull())
-    assert value == pytest.approx(-0.75, abs=1e-12)
+    rep = duality_gap_report(point_mass(-0.75), delta_one_and_tail_hull())
+    assert rep.primal_lower == pytest.approx(-0.75, abs=1e-12)
+    assert rep.gap <= 1e-12
 
 
 def test_frank_wolfe_rejects_finite_set_mode():
-    with pytest.raises(WrongMode):
-        primal_frank_wolfe(uniform_on([1.0, 2.0]), two_point_set())
+    # a finite set never mixes its vertices, though its dual certifies the hull
+    m = uniform_on(MIX_MEASURE_ATOMS)
+    rep = duality_gap_report(m, mixing_set(HullMode.FINITE_SET))
+    assert sorted(rep.primal_weights.tolist()) == [0.0, 1.0]
+    assert rep.primal_lower == pytest.approx(MIX_VERTEX_VALUE, abs=1e-12)
+    assert rep.dual_upper == pytest.approx(MIX_HULL_VALUE, abs=1e-12)
 
 
 def test_frank_wolfe_finds_the_interior_mix():
@@ -316,9 +342,10 @@ def test_frank_wolfe_finds_the_interior_mix():
     R = mixing_set(HullMode.CONVEX_HULL)
     both = [transport_value(m, R.vertex_measure(v)) for v in range(2)]
     assert both == pytest.approx([MIX_VERTEX_VALUE, MIX_VERTEX_VALUE], abs=1e-12)
-    lam, value, _ = primal_frank_wolfe(m, R)
-    assert MIX_HULL_VALUE - 1e-3 <= value <= MIX_HULL_VALUE + 1e-9
-    assert lam[1] == pytest.approx(MIX_LAMBDA_STAR, abs=1e-3)
+    rep = duality_gap_report(m, R)
+    assert rep.primal_lower == pytest.approx(MIX_HULL_VALUE, abs=1e-12)
+    assert rep.dual_upper == pytest.approx(MIX_HULL_VALUE, abs=1e-12)
+    assert rep.primal_weights[1] == pytest.approx(MIX_LAMBDA_STAR, abs=1e-12)
 
 
 def test_frank_wolfe_matches_grid_scan():
@@ -329,20 +356,53 @@ def test_frank_wolfe_matches_grid_scan():
         if R.n_vertices != 2:
             continue
         m = random_measure(rng, n_max=15)
-        _, value, _ = primal_frank_wolfe(m, R)
+        rep = duality_gap_report(m, R)
         scan = max(
             transport_value(m, R.mixture_measure(np.array([1.0 - t, t]))) for t in grid
         )
-        # the scan is itself a lower bound, so FW must not sit below it
-        assert value >= scan - 1e-6 * (1.0 + abs(scan))
+        # the scan is itself a lower bound, so the solver must not sit below it
+        assert rep.primal_lower >= scan - 1e-12 * (1.0 + abs(scan))
+        assert rep.gap <= round_off_gap(rep)
 
 
 def test_frank_wolfe_respects_iteration_budget():
     m = uniform_on(MIX_MEASURE_ATOMS)
-    lam, _, _ = primal_frank_wolfe(
-        m, mixing_set(HullMode.CONVEX_HULL), SolverOptions(max_iters=1)
-    )
-    assert lam.sum() == pytest.approx(1.0)
+    rep = duality_gap_report(m, mixing_set(HullMode.CONVEX_HULL), SolverOptions(max_iters=1))
+    assert rep.iterations == {"cutting_plane": 1}
+    assert rep.primal_weights.sum() == pytest.approx(1.0)
+    assert rep.primal_lower <= MIX_HULL_VALUE + 1e-12
+
+
+@pytest.mark.parametrize("seed, n", FORMER_ITER_LIMIT_SAMPLES)
+def test_readme_family_former_iter_limit_inputs(seed, n):
+    values = np.random.default_rng(seed).normal(0.0, 3.0, n)
+    rep = duality_gap_report(from_samples(values), mixing_set(HullMode.CONVEX_HULL))
+    assert rep.status is SolveStatus.CONVERGED
+    assert abs(rep.gap) <= round_off_gap(rep)
+    scan, t = oracles.two_vertex_hull_scan(values, MIX_SUPPORT, MIX_ROWS)
+    assert rep.primal_lower == pytest.approx(scan, rel=1e-12, abs=1e-12)
+    assert rep.primal_weights[1] == pytest.approx(t, abs=1e-9)
+
+
+def test_readme_family_certificate_at_n_1e5():
+    m = from_samples(np.random.default_rng(11).normal(0.0, 3.0, 100_000))
+    R = mixing_set(HullMode.CONVEX_HULL)
+    rep = duality_gap_report(m, R)
+    assert rep.status is SolveStatus.CONVERGED
+    assert abs(rep.gap) <= round_off_gap(rep)
+    assert rep.dual_upper == dual_objective(m, R, rep.dual_witness)
+
+
+def test_random_hulls_match_the_transport_lp():
+    rng = np.random.default_rng(77)
+    for _ in range(10):
+        R = random_generator_set(rng, k_max=6, v_max=4)
+        m = random_measure(rng, n_max=30)
+        rep = duality_gap_report(m, R)
+        assert abs(rep.gap) <= round_off_gap(rep)
+        lp = oracles.hull_value_lp(m.positions, m.weights, R.support, R.vertices)
+        # HiGHS solves to its own 1e-7 tolerances
+        assert rep.primal_lower == pytest.approx(lp, rel=1e-7, abs=1e-7)
 
 
 # --------------------------------------------------------------- refinement
@@ -415,7 +475,7 @@ def test_gap_report_finite_set_keeps_honest_gap():
     assert rep.dual_upper >= MIX_HULL_VALUE - 1e-9
     assert rep.gap >= (MIX_HULL_VALUE - MIX_VERTEX_VALUE) - 1e-6
     assert rep.status is SolveStatus.ITER_LIMIT
-    assert rep.iterations["frank_wolfe"] == 0
+    assert rep.iterations["cutting_plane"] >= 1
 
 
 def test_gap_report_random_hulls():
