@@ -24,7 +24,6 @@ from .measures import (
     INF,
     DiscreteMeasure,
     Order,
-    QuantilePartition,
     as_order,
     conjugate_order,
     from_samples,

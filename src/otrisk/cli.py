@@ -491,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input):
+    def common(p, needs_input, seed=False, solver=False):
         if needs_input:
             p.add_argument("--input", required=True, help="CSV of samples")
             p.add_argument(
@@ -502,20 +502,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", help="path to a JSON spec document")
         p.add_argument("--spec-json", help="inline JSON spec document")
         p.add_argument("--out", help="report path (default: stdout)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-iters", type=int, default=None)
-        p.add_argument("--target-gap", type=float, default=1e-6)
+        if seed or solver:
+            p.add_argument("--seed", type=int, default=0)
+        if solver:
+            p.add_argument("--max-iters", type=int, default=None)
+            p.add_argument("--target-gap", type=float, default=1e-6)
 
     p_eval = sub.add_parser("eval", help="evaluate a risk spec on samples")
-    common(p_eval, needs_input=True)
+    common(p_eval, needs_input=True, solver=True)
     p_eval.set_defaults(handler=cmd_eval)
 
     p_dual = sub.add_parser("dual", help="certified duality-gap report")
-    common(p_dual, needs_input=True)
+    common(p_dual, needs_input=True, solver=True)
     p_dual.set_defaults(handler=cmd_dual)
 
     p_check = sub.add_parser("check", help="audit axioms and bounds on seeded instances")
-    common(p_check, needs_input=False)
+    common(p_check, needs_input=False, seed=True)
     p_check.add_argument("--tol", type=float, default=None)
     p_check.add_argument("--instances", type=int, default=1000)
     p_check.set_defaults(handler=cmd_check)

@@ -249,30 +249,25 @@ def _cutting_planes(m: DiscreteMeasure, R: GeneratorSet, max_rounds):
 
     Returns (lambda, g, rounds).  Each round solves the master, finds
     for each k the cell of m holding C_k(lambda) by binary search, and
-    adds that cell's piece of Phi when the master lacks it; with no
-    piece to add the master is exact and both witnesses are optimal.
+    adds that cell's piece of Phi, read off m's prefix, when the master
+    lacks it; with no piece to add the master is exact and both
+    witnesses are optimal.
     The multipliers pi of the cuts of k average their slopes into a
     subgradient xi_k of Phi at C_k, and g_{k+1} = g_k + d_k xi_k.
     """
-    x, cum = m.positions, m.cumulative
+    x = m.positions
     n = x.size
-    # the prefix is built over the cell widths, so cells and prefix agree
-    edges = np.concatenate(([0.0], cum[:-1]))
-    widths = cum - edges
+    edges, prefix = m.excess_prefix()
     span = float(x[-1] - x[0])
-    xs = (x - x[0]) / span if span > 0.0 else np.zeros(n)
-    phi = np.concatenate(([0.0], np.cumsum(xs[:-1] * widths[:-1])))
-    beta = np.maximum(xs * edges - phi, 0.0)
+    unit = span or 1.0
+    xs = (x - x[0]) / unit
+    beta = np.maximum(xs * edges - prefix / unit, 0.0)
     d = np.diff(R.support)
     K = d.size
     A = np.cumsum(R.vertices, axis=1)[:, :K]
 
-    def cells(u):
-        return np.minimum(np.searchsorted(cum, u, side="left"), n - 1)
-
-    # start from the vertex with the best value, Phi read off the prefix
-    i = cells(A)
-    v0 = int(np.argmin((phi[i] + xs[i] * (A - edges[i])) @ d))
+    # start from the vertex with the best value
+    v0 = int(np.argmin(m.integrated_excess(A) @ d))
 
     cut_k = np.arange(K) if n > 1 else np.zeros(0, dtype=np.intp)
     cut_i = np.full(cut_k.size, n - 1)
@@ -283,7 +278,7 @@ def _cutting_planes(m: DiscreteMeasure, R: GeneratorSet, max_rounds):
         lam, pi = _master(A, d, xs, beta, cut_k, cut_i, v0)
         new = [
             (k, i)
-            for k, i in enumerate(cells(lam @ A).tolist())
+            for k, i in enumerate(m.cells(lam @ A).tolist())
             if i > 0 and (k, i) not in have
         ]
         if not new or (max_rounds is not None and rounds >= max_rounds):

@@ -1,10 +1,10 @@
 """Discrete probability measures on the real line.
 
 Provides the measure type used everywhere else in the package, together
-with quantile functions, moments, expectations and the one-dimensional
-p-Wasserstein distance.  All computations are closed-form on finite
-supports; sums that feed reported values go through compensated
-summation so results are reproducible to ~1e-15.
+with quantile functions, the integrated quantile, moments, expectations
+and the one-dimensional p-Wasserstein distance.  All computations are
+closed-form on finite supports; sums that feed reported values go through
+compensated summation so results are reproducible to ~1e-15.
 
 Moment orders live in [1, inf].  The infinite order is the distinguished
 sentinel :data:`INF` (an enum member), never a large float.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = [
     "INF",
     "Order",
     "DiscreteMeasure",
-    "QuantilePartition",
     "as_order",
     "conjugate_order",
     "from_samples",
@@ -119,7 +117,7 @@ class DiscreteMeasure:
     immutable and safe to share across threads.
     """
 
-    __slots__ = ("positions", "weights", "cumulative")
+    __slots__ = ("positions", "weights", "cumulative", "_prefix")
 
     def __init__(self, positions, weights):
         pos = np.atleast_1d(np.asarray(positions, dtype=float))
@@ -173,6 +171,7 @@ class DiscreteMeasure:
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "cumulative", cum)
+        object.__setattr__(self, "_prefix", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteMeasure is immutable")
@@ -213,13 +212,7 @@ class DiscreteMeasure:
         t = float(t)
         if math.isnan(t) or t <= 0.0 or t > 1.0:
             raise OutOfRange(f"quantile level must lie in (0, 1], got {t!r}")
-        idx = int(np.searchsorted(self.cumulative, t, side="left"))
-        return float(self.positions[idx])
-
-    def quantiles(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`quantile` without the range checks."""
-        idx = np.searchsorted(self.cumulative, t, side="left")
-        return self.positions[np.minimum(idx, self.n_atoms - 1)]
+        return float(self.positions[self.cells(t)])
 
     def expectation(self) -> float:
         """Mean of the measure (compensated summation)."""
@@ -236,29 +229,33 @@ class DiscreteMeasure:
         s = math.fsum(((a**p) * self.weights).tolist())
         return s ** (1.0 / p)
 
-    def partition(self) -> "QuantilePartition":
-        """The quantile function as a step function over (0, 1]."""
-        return QuantilePartition(self.cumulative, self.positions)
+    def cells(self, u) -> np.ndarray:
+        """Atom index of the quantile cell (e_i, C_i] holding each level u."""
+        return self.cumulative[:-1].searchsorted(u, side="left")
 
+    def excess_prefix(self) -> tuple[np.ndarray, np.ndarray]:
+        """Left cell edges e_i and :meth:`integrated_excess` at them, built once."""
+        if self._prefix is None:
+            x, cum = self.positions, self.cumulative
+            edges = np.concatenate(([0.0], cum[:-1]))
+            prefix = np.empty(cum.size)
+            prefix[0] = 0.0
+            # summed over the cell widths, so the prefix and the cells agree
+            ((x[:-1] - x[0]) * (cum[:-1] - edges[:-1])).cumsum(out=prefix[1:])
+            edges.setflags(write=False)
+            prefix.setflags(write=False)
+            object.__setattr__(self, "_prefix", (edges, prefix))
+        return self._prefix
 
-@dataclass(frozen=True)
-class QuantilePartition:
-    """Step-function representation of a quantile function.
+    def integrated_excess(self, u) -> np.ndarray:
+        """Phi(u) - u*x_0 at levels u in [0, 1], with Phi(u) = int_0^u q_m.
 
-    ``values[i]`` is the quantile on the cell ``(breakpoints[i-1], breakpoints[i]]``
-    (with an implicit leading 0).  Breakpoints are strictly increasing and
-    end at exactly 1; values are nondecreasing.
-    """
-
-    breakpoints: np.ndarray
-    values: np.ndarray
-
-    def widths(self) -> np.ndarray:
-        return np.diff(self.breakpoints, prepend=0.0)
-
-    def push_forward(self) -> DiscreteMeasure:
-        """The measure whose quantile function this is."""
-        return DiscreteMeasure(self.values, self.widths())
+        Measured from the smallest atom x_0, so rounding scales with the span.
+        """
+        u = np.asarray(u, dtype=float)
+        edges, prefix = self.excess_prefix()
+        i = self.cells(u)
+        return prefix[i] + (self.positions[i] - self.positions[0]) * (u - edges[i])
 
 
 # ----------------------------------------------------------------------

@@ -65,15 +65,13 @@ def _check_beta(beta: float) -> float:
 def cvar(m: DiscreteMeasure, beta: float) -> float:
     """Average of the worst (1-beta) tail, splitting the straddling atom.
 
-    Exact closed form; equals inf_t { t + E[(X-t)_+]/(1-beta) }.
+    Exact closed form (Phi(1) - Phi(beta))/(1-beta) = inf_t { t + E[(X-t)_+]/(1-beta) }.
     """
     beta = _check_beta(beta)
     if beta == 0.0:
         return m.expectation()
-    cw = m.cumulative
-    lower = np.maximum(beta, np.concatenate(([0.0], cw[:-1])))
-    overlap = np.maximum(cw - lower, 0.0)
-    return math.fsum((m.positions * overlap).tolist()) / (1.0 - beta)
+    at_beta, at_one = m.integrated_excess([beta, 1.0]).tolist()
+    return float(m.positions[0]) + (at_one - at_beta) / (1.0 - beta)
 
 
 def cvar_target_set(beta: float) -> GeneratorSet:
@@ -93,9 +91,6 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 def _golden_section_min(h, lo: float, hi: float, tol: float) -> tuple[float, float]:
     """Minimize a convex h over [lo, hi]; returns (h(t), t)."""
     a, b = lo, hi
-    if b - a <= tol:
-        t = 0.5 * (a + b)
-        return h(t), t
     x1 = b - _INV_PHI * (b - a)
     x2 = a + _INV_PHI * (b - a)
     h1, h2 = h(x1), h(x2)
@@ -122,27 +117,33 @@ def _check_pc(p: float, c: float) -> tuple[float, float]:
     return p, c
 
 
+def _rescaled(m: DiscreteMeasure) -> tuple[np.ndarray, float, float]:
+    """The atoms as z = (x - x_max)/span in [-1, 0], with x_max and span."""
+    x_max = float(m.positions[-1])
+    span = x_max - float(m.positions[0])
+    return (m.positions - x_max) / span, x_max, span
+
+
 def higher_moment(m: DiscreteMeasure, p: float, c: float) -> tuple[float, float]:
     """inf over t of t + c*E[(X-t)_+^p]^(1/p); returns (value, minimizer).
 
     The objective is convex and piecewise smooth with kinks at support
-    points, so a bracketing golden-section search is used.  The bracket is
-    [min support - range, max support]: one range-length of margin on the
-    left because the minimizer can sit below the support.
+    points, so a bracketing golden-section search is used, on the atoms
+    rescaled to z in [-1, 0].  The bracket is [-2, 0]: one span of margin
+    on the left because the minimizer can sit below the support.
     """
     p, c = _check_pc(p, c)
-    x = m.positions
-    w = m.weights
-    span = float(x[-1] - x[0])
-    if span == 0.0:
-        return float(x[0]), float(x[0])
-    inv_p = 1.0 / p
+    if m.n_atoms == 1:
+        return float(m.positions[0]), float(m.positions[0])
+    z, x_max, span = _rescaled(m)
+    w, inv_p = m.weights, 1.0 / p
 
-    def h(t: float) -> float:
-        tail = np.maximum(x - t, 0.0)
-        return t + c * float(w @ tail**p) ** inv_p
+    def h(s: float) -> float:
+        tail = np.maximum(z - s, 0.0)  # at most 2, so tail**p stays finite
+        return s + c * float(w @ tail**p) ** inv_p
 
-    return _golden_section_min(h, float(x[0]) - span, float(x[-1]), 1e-12 * (1.0 + span))
+    value, s = _golden_section_min(h, -2.0, 0.0, 1e-12 * (1.0 + span) / span)
+    return x_max + span * value, x_max + span * s
 
 
 def higher_moment_certificate(
@@ -155,21 +156,26 @@ def higher_moment_certificate(
     E[conjugate] + t + u*c^q.  With u chosen as a^(1/p)/(q c^(q-1)) for
     a = E[(x-t)_+^p] this matches the primal objective at the same t.
     When a = 0 the potential degenerates to u = 0 and the value is t.
+    Computed on the rescaled atoms, where u is u_bar/span, with the tails
+    divided by the largest one, -s, so that no power overflows.
     """
     p, c = _check_pc(p, c)
-    q = p / (p - 1.0)
     _, t_bar = higher_moment(m, p, c)
-    tail = np.maximum(m.positions - t_bar, 0.0)
-    a = float(m.weights @ tail**p)
-    span = float(m.positions[-1] - m.positions[0])
-    if a ** (1.0 / p) <= 1e-11 * (1.0 + span):
+    if t_bar >= m.positions[-1]:
+        return t_bar, 0.0, t_bar
+    q = p / (p - 1.0)
+    z, x_max, span = _rescaled(m)
+    s = (t_bar - x_max) / span
+    tail = np.maximum(z - s, 0.0) / -s
+    root = float(m.weights @ tail**p) ** (1.0 / p)  # a^(1/p) / -s, a on the rescaled atoms
+    if -s * root <= 1e-11 * (1.0 + span) / span:
         # tail mass below solver resolution: the optimum sits at the
         # essential sup and the dual potential degenerates to u = 0
         return t_bar, 0.0, t_bar
-    u_bar = a ** (1.0 / p) / (q * c ** (q - 1.0))
-    conj = (1.0 / p) * (u_bar * q) ** (-(p - 1.0)) * tail**p
-    dual_value = math.fsum((conj * m.weights).tolist()) + t_bar + u_bar * c**q
-    return t_bar, u_bar, dual_value
+    uq = -s * root / c ** (q - 1.0)
+    conj = (uq / p) * (tail * (c ** (q - 1.0) / root)) ** p
+    dual_z = math.fsum((conj * m.weights).tolist()) + uq / q * c**q
+    return t_bar, span * uq / q, t_bar + span * dual_z
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,9 @@
 The transport problem maximizes E[x*y] over couplings of a distribution m
 with a target measure r of unit mean on the nonnegative half-line.  On
 the real line with this product cost, the maximum is attained by the
-comonotone (quantile) coupling, so values, optimal plans and exact dual
-potentials all come out of one merged sweep over the two quantile
-partitions.
+comonotone (quantile) coupling.  Values pair r with the integrated
+quantile of m, read off m's prefix; optimal plans and exact dual
+potentials come out of one merged sweep over the two quantile partitions.
 
 A :class:`GeneratorSet` is the finite description of a whole family of
 target measures: a common support grid plus one weight vector per
@@ -65,7 +65,7 @@ class GeneratorSet:
     family is the finite set of rows or their convex hull.
     """
 
-    __slots__ = ("support", "vertices", "hull_mode", "_vertex_measures")
+    __slots__ = ("support", "vertices", "hull_mode")
 
     def __init__(self, support, vertices, hull_mode: HullMode = HullMode.FINITE_SET):
         y = np.atleast_1d(np.asarray(support, dtype=float))
@@ -105,7 +105,6 @@ class GeneratorSet:
         object.__setattr__(self, "support", y)
         object.__setattr__(self, "vertices", V)
         object.__setattr__(self, "hull_mode", HullMode(hull_mode))
-        object.__setattr__(self, "_vertex_measures", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GeneratorSet is immutable")
@@ -124,14 +123,8 @@ class GeneratorSet:
         return self.vertices.shape[0]
 
     def vertex_measure(self, v: int) -> DiscreteMeasure:
-        """Row ``v`` as a measure (zero-weight grid points dropped).
-
-        The rows' measures are built once, on first use, and shared.
-        """
-        if self._vertex_measures is None:
-            built = tuple(from_samples(self.support, row) for row in self.vertices)
-            object.__setattr__(self, "_vertex_measures", built)
-        return self._vertex_measures[v]
+        """Row ``v`` as a measure (zero-weight grid points dropped)."""
+        return from_samples(self.support, self.vertices[v])
 
     def mixture_measure(self, weights) -> DiscreteMeasure:
         """Convex combination of the rows as a measure.
@@ -260,11 +253,21 @@ def comonotone_coupling(m: DiscreteMeasure, r: DiscreteMeasure) -> Coupling:
     return Coupling(m.positions[im], r.positions[ir], widths)
 
 
+def _grid_values(m: DiscreteMeasure, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """transport_value of m against each row of weights on the grid y.
+
+    By parts, y_K Phi(1) - sum_k d_k Phi(C_k), with Phi(u) = x_0 u + m.integrated_excess(u).
+    """
+    C = rows.cumsum(axis=1)
+    C[:, -1] = 1.0
+    phi = m.integrated_excess(C)
+    tail = y[-1] * phi[:, -1] - phi[:, :-1] @ (y[1:] - y[:-1])
+    return m.positions[0] * (rows @ y) + tail
+
+
 def transport_value(m: DiscreteMeasure, r: DiscreteMeasure) -> float:
-    """max E[x*y] over couplings of m and r: the quantile product integral."""
-    breaks, im, ir = merged_partition(m, r)
-    widths = np.diff(breaks, prepend=0.0)
-    return math.fsum((m.positions[im] * r.positions[ir] * widths).tolist())
+    """max E[x*y] over couplings of m and r: m's integrated quantile paired with r."""
+    return float(_grid_values(m, r.positions, r.weights[None, :])[0])
 
 
 def finite_set_value(
@@ -272,6 +275,7 @@ def finite_set_value(
 ) -> tuple[float, int]:
     """max of transport_value(m, .) over the generator vertices.
 
+    All vertices are priced by one lookup of m's integrated quantile.
     Returns (value, argmax index); the lowest index wins ties.  For a
     ConvexHull family this is only a lower bound on the hull value, so it
     raises :class:`WrongMode` unless ``allow_lower_bound`` says the caller
@@ -282,13 +286,9 @@ def finite_set_value(
             "vertex max is only a lower bound for a convex hull; "
             "use the dual solver, or pass allow_lower_bound=True"
         )
-    best_val = -math.inf
-    best_idx = 0
-    for v in range(R.n_vertices):
-        val = transport_value(m, R.vertex_measure(v))
-        if val > best_val:
-            best_val, best_idx = val, v
-    return best_val, best_idx
+    values = _grid_values(m, R.support, R.vertices)
+    best = int(np.argmax(values))
+    return float(values[best]), best
 
 
 def exact_potentials(

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import otrisk
 from otrisk import NonFiniteValue
 from otrisk.cli import emit_json, main
 
@@ -330,6 +331,18 @@ def test_check_spec_parse_failure(capsys):
     assert "beta out of range" in rep["error"]["message"]
 
 
+def test_unread_solver_flags_are_rejected(capsys):
+    # only eval and dual run the solver; check reads --seed alone
+    for argv in (
+        ["kusuoka", "--spec-json", '{"type":"kusuoka","atoms":[[0.0,1.0]]}', "--max-iters", "3"],
+        ["check", "--spec-json", '{"type":"cvar","beta":0.5}', "--target-gap", "1e-3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+
 # ------------------------------------------------------------------ kusuoka
 
 
@@ -410,12 +423,10 @@ def test_emit_json_flat_float_lists():
 
 
 def test_non_finite_report_is_exit_3(capsys, tmp_path):
-    # tail**p overflows for this input; the report must fail, not hold inf
-    path = write_csv(tmp_path, "big.csv", "0\n1e200\n")
+    # 20 * 1e308 overflows inside the CVaR transport sum; the report must fail, not hold it
+    path = write_csv(tmp_path, "big.csv", "0\n1e308\n")
     with np.errstate(over="ignore", invalid="ignore"):
-        code = main(
-            ["eval", "--input", path, "--spec-json", '{"type":"higher_moment","p":2,"c":1.2}']
-        )
+        code = main(["eval", "--input", path, "--spec-json", '{"type":"cvar","beta":0.95}'])
     out = capsys.readouterr().out
 
     def reject(token):
@@ -430,6 +441,10 @@ def test_non_finite_report_is_exit_3(capsys, tmp_path):
 def test_console_module_subprocess(tmp_path):
     csv = tmp_path / "s.csv"
     csv.write_text("1\n2\n3\n4\n")
+    # the child imports the same otrisk as this process, installed or not
+    src = os.path.dirname(os.path.dirname(otrisk.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [
             sys.executable,
@@ -443,6 +458,7 @@ def test_console_module_subprocess(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == 3.5
@@ -451,5 +467,6 @@ def test_console_module_subprocess(tmp_path):
         [sys.executable, "-m", "otrisk.cli", "eval", "--input", str(csv), "--spec-json", "{"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 2

@@ -138,16 +138,6 @@ def test_quantile_monotone(values, t1, t2):
     assert m.quantile(lo) <= m.quantile(hi)
 
 
-def test_partition_push_forward_identity():
-    rng = np.random.default_rng(11)
-    for _ in range(30):
-        n = int(rng.integers(1, 15))
-        m = from_samples(rng.normal(size=n) * 10, rng.uniform(0.01, 1.0, size=n))
-        back = m.partition().push_forward()
-        assert np.array_equal(back.positions, m.positions)
-        np.testing.assert_allclose(back.weights, m.weights, atol=TOL_EXACT)
-
-
 # ----------------------------------------------------------------------
 # moments and expectation
 

@@ -143,6 +143,22 @@ def test_higher_moment_matches_grid_oracle():
         assert got == pytest.approx(want, rel=1e-7, abs=1e-7)
 
 
+def test_higher_moment_far_from_unit_scale():
+    # solved on the atoms rescaled to [-1, 0], so tail powers cannot overflow
+    m = from_samples([0.0, 1e200])
+    value, t_star = higher_moment(m, 2.0, 1.2)
+    assert value == pytest.approx(8.3166247903554e199, rel=1e-12)
+    assert value == pytest.approx(1e200 * GOLDEN_VALUE, rel=1e-12)
+    t, u, dual = higher_moment_certificate(m, 2.0, 1.2)
+    assert t == t_star
+    assert u == pytest.approx(1e200 * 0.37688918, rel=1e-6)
+    assert dual == pytest.approx(value, rel=1e-12)
+
+    big = from_samples([0.0, 1e8])
+    assert all(map(math.isfinite, higher_moment(big, 50.0, 1.2)))
+    assert all(map(math.isfinite, higher_moment_certificate(big, 50.0, 1.2)))
+
+
 def test_higher_moment_param_validation():
     m = uniform_on([0, 1])
     for p, c in ((1.0, 2.0), (0.5, 2.0), (2.0, 1.0), (2.0, 0.9), (math.inf, 2.0)):

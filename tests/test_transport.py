@@ -8,6 +8,7 @@ import pytest
 import oracles
 from otrisk.errors import InvalidParams, WrongMode
 from otrisk.measures import INF, DiscreteMeasure, from_samples, point_mass, uniform_on
+from otrisk.riskmeasures import KusuokaMixture, cvar, cvar_target_set, evaluate_risk
 from otrisk.transport import (
     Coupling,
     GeneratorSet,
@@ -112,10 +113,13 @@ def test_transport_value_worked_examples():
 
 
 def test_transport_value_equals_coupling_objective():
+    # two routes to one number: the integrated-quantile pairing and the
+    # merged sweep's plan, so they agree to round-off rather than bit for bit
     rng = np.random.default_rng(7)
     for _ in range(50):
         m, r = random_instance(rng)
-        assert transport_value(m, r) == comonotone_coupling(m, r).objective()
+        value = transport_value(m, r)
+        assert abs(value - comonotone_coupling(m, r).objective()) <= 1e-13 * (1.0 + abs(value))
 
 
 def test_comonotone_is_the_polytope_maximum():
@@ -201,6 +205,49 @@ def test_mixture_measure_and_vertex_measure():
     assert r.positions.tolist() == [0.0, 1.0, 2.0]
     np.testing.assert_allclose(r.weights, [0.25, 0.5, 0.25], atol=1e-15)
     assert R.vertex_measure(1).positions.tolist() == [0.0, 2.0]
+
+
+def _million_atom_sample(kind):
+    rng = np.random.default_rng(2026)
+    n = 1_000_000
+    if kind == "t4":
+        return from_samples(rng.standard_t(4.0, size=n))
+    if kind == "weighted_grid":
+        grid = rng.integers(-500_000, 500_000, size=n) / 1000.0
+        return from_samples(grid, rng.uniform(0.0, 1.0, size=n))
+    # span far below the magnitude: rounding must scale with the span
+    return from_samples(1e6 + rng.normal(size=n))
+
+
+@pytest.mark.parametrize("kind", ["t4", "weighted_grid", "offset"])
+def test_million_atom_values_match_the_coupling(kind):
+    m = _million_atom_sample(kind)
+    eps = np.finfo(float).eps
+    span = float(m.positions[-1] - m.positions[0])
+    scale = float(np.abs(m.positions[[0, -1]]).max())
+
+    def agrees(value, r):
+        # the coupling's cells come from the same cumulative grid; a running
+        # sum of n terms drifts by n*eps per cell edge, worth span*y_max each
+        budget = 2 * (m.n_atoms + r.n_atoms) * eps * span * r.positions[-1] + 16 * eps * (
+            1.0 + scale * r.positions[-1]
+        )
+        want = comonotone_coupling(m, r).objective()
+        assert abs(value - want) <= budget, (value, want, budget)
+
+    for beta in (0.5, 0.95, 0.99):
+        r = cvar_target_set(beta).vertex_measure(0)
+        agrees(cvar(m, beta), r)
+        agrees(transport_value(m, r), r)
+
+    R = GeneratorSet([0.0, 0.5, 1.5, 4.0], [[1 / 3, 0, 2 / 3, 0], [0, 6 / 7, 0, 1 / 7]])
+    value, idx = finite_set_value(m, R)
+    agrees(value, R.vertex_measure(idx))
+    other = R.vertex_measure(1 - idx)
+    assert transport_value(m, other) <= value
+
+    spec = KusuokaMixture(((0.0, 0.3), (0.5, 0.4), (0.9, 0.3)))
+    agrees(evaluate_risk(spec, m), spec.image().image_measure)
 
 
 # ----------------------------------------------------------------------
