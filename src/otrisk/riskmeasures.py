@@ -160,7 +160,16 @@ def higher_moment_certificate(
     divided by the largest one, -s, so that no power overflows.
     """
     p, c = _check_pc(p, c)
-    _, t_bar = higher_moment(m, p, c)
+    return _certificate_at(m, p, c, higher_moment(m, p, c)[1])
+
+
+def _certificate_at(
+    m: DiscreteMeasure, p: float, c: float, t_bar: float
+) -> tuple[float, float, float]:
+    """The certificate of :func:`higher_moment_certificate` at its minimizer t_bar.
+
+    For callers that already ran :func:`higher_moment`, which checked p and c.
+    """
     if t_bar >= m.positions[-1]:
         return t_bar, 0.0, t_bar
     q = p / (p - 1.0)

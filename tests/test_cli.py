@@ -5,13 +5,15 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import oracles
 import otrisk
-from otrisk import NonFiniteValue
-from otrisk.cli import emit_json, main
+from otrisk import NonFiniteValue, from_samples
+from otrisk.cli import SNAP_TOL, _snap_positions, emit_json, main, read_samples_csv
 
 
 def run_cli(capsys, *argv):
@@ -189,6 +191,119 @@ def test_csv_edge_cases(capsys, tmp_path):
     zero_weights = write_csv(tmp_path, "zw.csv", "1,0\n2,0\n")
     code, rep = run_cli(capsys, "eval", "--input", zero_weights, "--spec-json", spec)
     assert code == 2
+
+
+# ------------------------------------------------------------------- reader
+
+
+def assert_same_measure(got, want):
+    assert got.positions.tobytes() == want.positions.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text, values, weights",
+    [
+        ("# P&L export\nvalue\n\n\n1.5\n-2\n", [1.5, -2.0], None),
+        ("\n\n\n3\n4\n", [3.0, 4.0], None),
+        ("  1.5 ,  2 \n\t-3\t,1\n 7\f, 1 \n", [1.5, -3.0, 7.0], [2.0, 1.0, 1.0]),
+        ("x\r\n1\r\n\r\n2\r\n", [1.0, 2.0], None),
+        ("42", [42.0], None),
+        ("value,weight\n1,3\n3,1\n\n2,0.5\n", [1.0, 3.0, 2.0], [3.0, 1.0, 0.5]),
+    ],
+    ids=["headers", "blank-lines", "whitespace", "crlf", "one-row", "weights"],
+)
+def test_reader_accepts(tmp_path, text, values, weights):
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode())
+    got = read_samples_csv(str(path))
+    assert_same_measure(got, from_samples(values, weights or [1.0] * len(values)))
+
+
+@pytest.mark.parametrize(
+    "text, line, what",
+    [
+        ("value\n\n1\n\n\n2\n\nabc\n3\n", 8, "abc"),
+        ("1\n2\n\n3,1\n", 4, "mixed rows"),
+        ("x\n1,2,3\n4,5,6\n", 2, "got 3"),
+        ("1,2\n3,4,5\n", 2, "got 3"),
+        ("1,\n2,\n", 1, "''"),
+        ("1\n2\n   \n3\n", 3, "'   '"),
+        ("1\n1_000\n", 2, "1_000"),
+        ("1_000\n2\n", 1, "1_000"),
+    ],
+    ids=[
+        "bad-token",
+        "mixed-widths",
+        "three-columns",
+        "three-after-two",
+        "trailing-comma",
+        "whitespace-only-line",
+        "underscore",
+        "underscore-first-row",
+    ],
+)
+def test_reader_errors_name_the_line(capsys, tmp_path, text, line, what):
+    path = write_csv(tmp_path, "bad.csv", text)
+    spec = '{"type":"cvar","beta":0.5}'
+    code, rep = run_cli(capsys, "eval", "--input", path, "--spec-json", spec)
+    assert code == 2
+    message = rep["error"]["message"]
+    assert message.startswith(f"line {line}: "), message
+    assert what in message
+
+
+@pytest.mark.parametrize("snap", [[], ["--snap-atoms"]], ids=["plain", "snap"])
+@pytest.mark.parametrize("row", ["nan", "inf", "-inf", "1,nan", "1,inf", "inf\n-inf\ninf"])
+def test_reader_rejects_non_finite_rows(capsys, tmp_path, row, snap):
+    width = row.count(",") + 1
+    path = write_csv(tmp_path, "nf.csv", ("2,1\n" if width == 2 else "2\n") + row + "\n")
+    spec = '{"type":"cvar","beta":0.5}'
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nothing but the report on any channel
+        code, rep = run_cli(capsys, "eval", "--input", path, "--spec-json", spec, *snap)
+    assert code == 2
+    assert rep["error"]["kind"] == "NonFiniteValue"
+
+
+def test_reader_rounds_like_float(tmp_path):
+    rng = np.random.default_rng(20261020)
+    values = rng.standard_t(3, 100_000) * 10.0 ** rng.uniform(-300, 300, 100_000)
+    tokens = ["%.17g" % v for v in values] + [
+        "4.9406564584124654e-324",
+        "2.2250738585072011e-308",
+        "-0",
+        "+1e5",
+        "1e308",
+        "0.1",
+    ]
+    path = tmp_path / "r.csv"
+    path.write_text("\n".join(tokens) + "\n")
+    want = from_samples([float(t) for t in tokens], [1.0] * len(tokens))
+    assert_same_measure(read_samples_csv(str(path)), want)
+    # the tricky tokens alone, where no neighbour can hide a misread
+    path.write_text("\n".join(tokens[-6:]))
+    got = read_samples_csv(str(path))
+    assert got.positions.tobytes() == np.sort([float(t) for t in tokens[-6:]]).tobytes()
+
+
+def test_snap_positions_matches_the_scan():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n = int(rng.integers(1, 400))
+        centers = rng.normal(0.0, 1.0, int(rng.integers(1, 12)))
+        steps = rng.choice([0.0, 3e-13, 7e-13, 1e-12, 2e-12], n)
+        xs = centers[rng.integers(0, centers.size, n)] + rng.integers(0, 6, n) * steps
+        # chains of close steps, longer than SNAP_TOL end to end
+        chain = int(rng.integers(2, 300))
+        start = rng.normal(0.0, 1.0)
+        xs = np.concatenate((xs, start + np.arange(chain) * rng.uniform(1e-13, 1.2e-12)))
+        ws = rng.random(xs.size) * rng.choice([1e-3, 1.0, 1e10])
+        rng.shuffle(xs)
+        got = _snap_positions(xs, ws)
+        want = oracles.snap_positions_scan(xs, ws, SNAP_TOL)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 # --------------------------------------------------------------------- dual
