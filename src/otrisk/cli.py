@@ -13,8 +13,9 @@ any line whose first token is not a number is skipped (headers, blank
 lines); after it, empty lines are skipped.  numpy's text reader parses the
 rows, reading each token as numpy reads a decimal float, correctly rounded
 as by ``float()``; whitespace around tokens is ignored.  Unlike
-``float()``, it rejects whitespace-only lines and digit-group underscores
-(``1_000``).  A bad token or row width exits 2 naming the file line.
+``float()``, it rejects whitespace-only lines, digit-group underscores
+(``1_000``) and non-ASCII digits.  A bad token or row width exits 2,
+naming the file line unless the input is a pipe, which cannot be re-read.
 Reports serialize every real with 17 significant digits so that parsing
 the file back recovers the exact doubles.  Exit codes: 0 success (or a
 certified-but-not-converged dual run, which carries a warning field),
@@ -157,90 +158,66 @@ def _write_report(text: str, out_path: str | None):
 
 
 def _snap_positions(xs: np.ndarray, ws: np.ndarray):
-    """Merge sample positions that differ by at most SNAP_TOL.
-
-    Scanning in sorted order, a group's first position is its anchor, and
-    a position joins the group while it lies within SNAP_TOL of the
-    anchor.  A gap wider than SNAP_TOL always starts a group, because
-    x[i+1] - anchor >= x[i+1] - x[i], so the scan runs only inside runs of
-    close positions, and only in runs wider than SNAP_TOL end to end.
-    Each group's weight is summed left to right, as a running sum does.
-    """
+    """Merge sample positions that differ by at most SNAP_TOL."""
     order = np.argsort(xs, kind="stable")
     xs, ws = xs[order], ws[order]
-    first = np.ones(xs.size, dtype=bool)  # starts a group
-    # "not <=" rather than ">": a nan gap starts a group, as it does in the scan;
+    keep_x, keep_w = [xs[0]], [ws[0]]
     # inf - inf is quiet here, as from_samples rejects non-finite samples after
     with np.errstate(invalid="ignore", over="ignore"):
-        first[1:] = ~(xs[1:] - xs[:-1] <= SNAP_TOL)
-        run_lo = np.flatnonzero(first)
-        run_hi = np.append(run_lo[1:], xs.size)
-        wide = ~(xs[run_hi - 1] - xs[run_lo] <= SNAP_TOL)
-    for lo, hi in zip(run_lo[wide].tolist(), run_hi[wide].tolist()):
-        run = xs[lo:hi].tolist()
-        anchor = run[0]
-        for i, x in enumerate(run[1:], start=lo + 1):
-            if not x - anchor <= SNAP_TOL:
-                anchor = x
-                first[i] = True
-    starts = np.flatnonzero(first)
-    return xs[starts], _running_sums(ws, starts)
+        for x, w in zip(xs[1:], ws[1:]):
+            if x - keep_x[-1] <= SNAP_TOL:
+                keep_w[-1] += w
+            else:
+                keep_x.append(x)
+                keep_w.append(w)
+    return np.array(keep_x), np.array(keep_w)
 
 
-def _running_sums(ws: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Left-to-right sum of ws over each group [starts[g], starts[g+1])."""
-    sizes = np.diff(starts, append=ws.size)
-    sums = ws[starts]
-    short = sizes <= 16  # one vectorized step per position within a group
-    for k in range(1, min(int(sizes.max()), 16)):
-        g = np.flatnonzero(short & (sizes > k))
-        sums[g] += ws[starts[g] + k]
-    for g in np.flatnonzero(~short).tolist():  # np.add.reduce would sum pairwise
-        sums[g] = np.cumsum(ws[starts[g] : starts[g] + sizes[g]])[-1]
-    return sums
+def _csv_error(fh, header_lines: int, exc: ValueError) -> CliError:
+    """An exit-2 error naming the first sample row numpy's reader rejects.
 
-
-def _csv_error(path: str, header_lines: int, exc: ValueError) -> CliError:
-    """An exit-2 error naming the file line of a row numpy's reader rejected.
-
-    numpy's reader counts rows from where it started reading and skips
-    empty lines; a column-count change is reported 1-based, a bad token
-    0-based.  Re-reading the file turns that row into a file line.
+    Only on this error path is the input read again, holding each row to
+    the reader's rules: as many columns as the first row, and every token
+    an ASCII decimal float without digit-group underscores.  An input that
+    cannot be read again (a pipe) gets numpy's message, without a line.
     """
-    import re
-
-    message = str(exc)
-    found = re.search(r" at row (\d+)", message)
-    if found is None:
-        return CliError(EXIT_PARSE, "csv", message)
-    row = int(found.group(1))
-    width = re.match(r"the number of columns changed from \d+ to (\d+)", message)
-    if width is None:
-        message = (message[: found.start()] + message[found.end() :]).rstrip(".")
-    else:
-        row -= 1
-        width = int(width.group(1))
-        message = (
-            f"expected 1 or 2 columns, got {width}"
-            if width > 2
-            else "mixed rows with and without a weight column"
-        )
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if lineno > header_lines and line != "\n":
-                if row == 0:
-                    return CliError(EXIT_PARSE, "csv", f"line {lineno}: {message}")
-                row -= 1
-    return CliError(EXIT_PARSE, "csv", message)
+    if not fh.seekable():
+        return CliError(EXIT_PARSE, "csv", f"bad sample row: {exc}")
+    fh.seek(0)
+    width = None
+    for lineno, line in enumerate(fh, start=1):
+        line = line.rstrip("\n")
+        if lineno <= header_lines or not line:
+            continue
+        tokens = line.split(",")
+        width = width or len(tokens)
+        if len(tokens) != width:
+            message = (
+                f"expected 1 or 2 columns, got {len(tokens)}"
+                if len(tokens) > 2
+                else "mixed rows with and without a weight column"
+            )
+            return CliError(EXIT_PARSE, "csv", f"line {lineno}: {message}")
+        for token in tokens:
+            number = token.strip()
+            try:
+                float(number)
+                if number.isascii() and "_" not in number:  # as numpy reads it
+                    continue
+            except ValueError:
+                pass
+            return CliError(EXIT_PARSE, "csv", f"line {lineno}: could not read {token!r} as a number")
+    return CliError(EXIT_PARSE, "csv", f"bad sample row: {exc}")
 
 
 def read_samples_csv(path: str, snap_atoms: bool = False) -> DiscreteMeasure:
     """Parse a CSV of samples (optional weight column, optional header)."""
+    from itertools import chain
+
     try:
         with open(path) as fh:
             header_lines = 0
             while True:  # header and blank lines: the first token is no number
-                start = fh.tell()
                 line = fh.readline()
                 if not line:
                     raise CliError(EXIT_PARSE, "csv", "no sample rows found")
@@ -256,11 +233,11 @@ def read_samples_csv(path: str, snap_atoms: bool = False) -> DiscreteMeasure:
                     f"line {header_lines + 1}: expected 1 or 2 columns, "
                     f"got {line.count(',') + 1}",
                 )
-            fh.seek(start)
+            rows = chain([line], fh)
             try:
-                table = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, dtype=float)
+                table = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None, dtype=float)
             except ValueError as exc:
-                raise _csv_error(path, header_lines, exc) from exc
+                raise _csv_error(fh, header_lines, exc) from exc
     except OSError as exc:
         raise CliError(EXIT_PARSE, "io", f"cannot read input file: {exc}") from exc
     xs = table[:, 0]

@@ -346,22 +346,3 @@ def dual_value_and_subgradient(values, weights, support, rows, g):
     s = R[vi] - np.bincount(ki, weights=w, minlength=y.size)
     s[0] = 0.0
     return J, s
-
-
-# ----------------------------------------------------------------------
-# CLI input
-
-
-def snap_positions_scan(xs, ws, tol: float):
-    """Merge sorted positions within tol of their group's first position,
-    one sample at a time, keeping a running sum of each group's weight."""
-    order = np.argsort(xs, kind="stable")
-    xs, ws = xs[order], ws[order]
-    keep_x, keep_w = [xs[0]], [ws[0]]
-    for x, w in zip(xs[1:], ws[1:]):
-        if x - keep_x[-1] <= tol:
-            keep_w[-1] += w
-        else:
-            keep_x.append(x)
-            keep_w.append(w)
-    return np.array(keep_x), np.array(keep_w)

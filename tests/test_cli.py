@@ -10,10 +10,9 @@ import warnings
 import numpy as np
 import pytest
 
-import oracles
 import otrisk
 from otrisk import NonFiniteValue, from_samples
-from otrisk.cli import SNAP_TOL, _snap_positions, emit_json, main, read_samples_csv
+from otrisk.cli import emit_json, main, read_samples_csv
 
 
 def run_cli(capsys, *argv):
@@ -231,6 +230,7 @@ def test_reader_accepts(tmp_path, text, values, weights):
         ("1\n2\n   \n3\n", 3, "'   '"),
         ("1\n1_000\n", 2, "1_000"),
         ("1_000\n2\n", 1, "1_000"),
+        ("1\n\uff12\n", 2, "'\uff12'"),
     ],
     ids=[
         "bad-token",
@@ -241,6 +241,7 @@ def test_reader_accepts(tmp_path, text, values, weights):
         "whitespace-only-line",
         "underscore",
         "underscore-first-row",
+        "non-ascii-digit",
     ],
 )
 def test_reader_errors_name_the_line(capsys, tmp_path, text, line, what):
@@ -287,23 +288,32 @@ def test_reader_rounds_like_float(tmp_path):
     assert got.positions.tobytes() == np.sort([float(t) for t in tokens[-6:]]).tobytes()
 
 
-def test_snap_positions_matches_the_scan():
-    rng = np.random.default_rng(7)
-    for _ in range(300):
-        n = int(rng.integers(1, 400))
-        centers = rng.normal(0.0, 1.0, int(rng.integers(1, 12)))
-        steps = rng.choice([0.0, 3e-13, 7e-13, 1e-12, 2e-12], n)
-        xs = centers[rng.integers(0, centers.size, n)] + rng.integers(0, 6, n) * steps
-        # chains of close steps, longer than SNAP_TOL end to end
-        chain = int(rng.integers(2, 300))
-        start = rng.normal(0.0, 1.0)
-        xs = np.concatenate((xs, start + np.arange(chain) * rng.uniform(1e-13, 1.2e-12)))
-        ws = rng.random(xs.size) * rng.choice([1e-3, 1.0, 1e10])
-        rng.shuffle(xs)
-        got = _snap_positions(xs, ws)
-        want = oracles.snap_positions_scan(xs, ws, SNAP_TOL)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
+def run_cli_on_pipe(capsys, text, spec):
+    """otrisk eval reading its CSV from a pipe, which cannot seek."""
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, text.encode())
+        os.close(write_end)
+        return run_cli(capsys, "eval", "--input", f"/dev/fd/{read_end}", "--spec-json", spec)
+    finally:
+        os.close(read_end)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_reader_reads_a_pipe(capsys, tmp_path):
+    spec = '{"type":"cvar","beta":0.5}'
+    text = "value,weight\n\n1,3\n3,1\n2,0.5\n"
+    path = write_csv(tmp_path, "s.csv", text)
+    code, rep = run_cli_on_pipe(capsys, text, spec)
+    want_code, want = run_cli(capsys, "eval", "--input", path, "--spec-json", spec)
+    assert code == want_code == 0
+    rep["input"].pop("path"), want["input"].pop("path")
+    assert rep == want
+    # a bad row still exits 2; a pipe cannot be read again to name its line
+    code, rep = run_cli_on_pipe(capsys, "value\n1\n\nabc\n", spec)
+    assert code == 2
+    assert rep["error"]["kind"] == "csv"
+    assert "abc" in rep["error"]["message"]
 
 
 # --------------------------------------------------------------------- dual
