@@ -223,6 +223,7 @@ def test_reader_accepts(tmp_path, text, values, weights):
     "text, line, what",
     [
         ("value\n\n1\n\n\n2\n\nabc\n3\n", 8, "abc"),
+        ("value,weight\n1,2\n3,abc\n", 3, "abc"),
         ("1\n2\n\n3,1\n", 4, "mixed rows"),
         ("x\n1,2,3\n4,5,6\n", 2, "got 3"),
         ("1,2\n3,4,5\n", 2, "got 3"),
@@ -234,6 +235,7 @@ def test_reader_accepts(tmp_path, text, values, weights):
     ],
     ids=[
         "bad-token",
+        "bad-weight-after-header",
         "mixed-widths",
         "three-columns",
         "three-after-two",
