@@ -1,8 +1,9 @@
 """The power-penalty risk measure and its dual certificate.
 
 rho(X) = inf_t { t + c * ||(X - t)_+||_p } has a one-variable dual whose value
-matches the primal exactly at the optimum.  The golden-section minimizer, an
-exhaustive grid, and the certificate all land on the same number; the table
+matches the primal exactly at the optimum.  The exact minimizer (a binary
+search over the atoms, then the closed-form root for p = 2 inside one cell),
+an exhaustive grid, and the certificate all land on the same number; the table
 then tracks the minimizer as the penalty weight c grows (heavier penalty
 pushes t toward the left tail, and rho toward the essential sup).
 """
@@ -29,7 +30,7 @@ def main() -> None:
     value, t_star = higher_moment(coin, 2.0, 1.2)
     t_bar, u_bar, dual = higher_moment_certificate(coin, 2.0, 1.2)
     print("fair coin on {0,1}, p=2, c=1.2")
-    print(f"  golden-section  {value:.12f}  at t = {t_star:+.6f}")
+    print(f"  exact minimizer {value:.12f}  at t = {t_star:+.6f}")
     print(f"  grid scan       {grid_scan(coin, 2.0, 1.2):.12f}")
     print(f"  dual certificate{dual: .12f}  (t = {t_bar:+.6f}, u = {u_bar:.6f})")
     print()

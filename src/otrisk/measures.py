@@ -148,21 +148,19 @@ class DiscreteMeasure:
             np.add.at(merged, inverse, w)
             pos, w = uniq, merged
 
-        total = math.fsum(w.tolist())
+        w, total = _normalized(w)
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ZeroTotalWeight(
                 f"weights must sum to 1 within {NORMALIZATION_TOL:g} "
                 f"(got {total!r}); use from_samples for unnormalized masses"
             )
-        w = w / total
 
         cum = np.cumsum(w)
         cum[-1] = 1.0
         if cum[0] <= 0.0 or (cum[1:] <= cum[:-1]).any():
             # an atom so light it vanishes at cumulative resolution; drop it
             keep = np.diff(cum, prepend=0.0) > 0.0
-            pos, w = pos[keep], w[keep]
-            w = w / math.fsum(w.tolist())
+            pos, w = pos[keep], _normalized(w[keep])[0]
             cum = np.cumsum(w)
             cum[-1] = 1.0
 
@@ -258,6 +256,19 @@ class DiscreteMeasure:
         return prefix[i] + (self.positions[i] - self.positions[0]) * (u - edges[i])
 
 
+def _normalized(w: np.ndarray) -> tuple[np.ndarray, float]:
+    """(w / total, total) for positive weights, with total = fsum(w).
+
+    The sum is taken after dividing the weights by the power of two at or
+    below their maximum, which is exact and keeps it finite: weights near
+    the largest double still normalize, and their total comes back as inf.
+    """
+    scale = 2.0 ** (math.frexp(float(w.max()))[1] - 1)
+    w = w / scale
+    total = math.fsum(w.tolist())
+    return w / total, total * scale
+
+
 # ----------------------------------------------------------------------
 # constructors
 
@@ -288,11 +299,11 @@ def from_samples(values: Sequence[float], weights: Sequence[float] | None = None
             raise NonFiniteValue("weights must be finite")
         if (w < 0.0).any():
             raise NegativeWeight("weights must be nonnegative")
-        keep = w > 0.0
-        if not keep.any():
+        if not (w > 0.0).any():
             raise ZeroTotalWeight("weights sum to zero")
+        w = _normalized(w)[0]
+        keep = w > 0.0  # zeros, and weights that vanish beside the total
         vals, w = vals[keep], w[keep]
-        w = w / math.fsum(w.tolist())
     return DiscreteMeasure(vals, w)
 
 

@@ -5,7 +5,9 @@ Four families share one interface:
 * ``CVaR(beta)`` — expected shortfall at level beta, evaluated by the
   exact tail average (equivalently the Rockafellar-Uryasev infimum).
 * ``HigherMoment(p, c)`` — inf over t of ``t + c*E[(X-t)_+^p]^(1/p)``,
-  by golden-section search; a matching dual certificate is available.
+  solved exactly: a binary search over the atoms, then the root of the
+  slope inside one cell (closed-form for p = 2); a matching dual
+  certificate is available.
 * ``KusuokaMixture(atoms)`` — a convex mixture of CV@R levels, realized
   as one transport problem against the mixture's image measure.
 * ``Explicit(generators, p)`` — a user-supplied generator family.
@@ -85,28 +87,6 @@ def cvar_target_set(beta: float) -> GeneratorSet:
 # ----------------------------------------------------------------------
 # higher-moment measures
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_section_min(h, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Minimize a convex h over [lo, hi]; returns (h(t), t)."""
-    a, b = lo, hi
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    h1, h2 = h(x1), h(x2)
-    while b - a > tol:
-        if h1 <= h2:
-            b, x2, h2 = x2, x1, h1
-            x1 = b - _INV_PHI * (b - a)
-            h1 = h(x1)
-        else:
-            a, x1, h1 = x1, x2, h2
-            x2 = a + _INV_PHI * (b - a)
-            h2 = h(x2)
-    t = 0.5 * (a + b)
-    return h(t), t
-
-
 def _check_pc(p: float, c: float) -> tuple[float, float]:
     p = float(p)
     c = float(c)
@@ -124,25 +104,87 @@ def _rescaled(m: DiscreteMeasure) -> tuple[np.ndarray, float, float]:
     return (m.positions - x_max) / span, x_max, span
 
 
+def _slope(z: np.ndarray, w: np.ndarray, s: float, p: float, c: float) -> float:
+    """h'(s) = 1 - c*B_{p-1}/B_p^((p-1)/p) from the atoms z > s with masses w.
+
+    z ends with the largest atom, 0, and B_r is sum w*tau^r over the tails
+    divided by the largest one, tau = (z - s)/-s, so that no power
+    underflows at any p.
+    """
+    tau = z - s
+    tau /= -s
+    tau_p1 = tau ** (p - 1.0)
+    b1 = float(w @ tau_p1)
+    tau_p1 *= tau
+    return 1.0 - c * b1 / float(w @ tau_p1) ** ((p - 1.0) / p)
+
+
+def _quadratic_root(z, w, a: float, lo: float, hi: float, c: float) -> float:
+    """The root of h' for p = 2 with the atoms z active, clamped to [lo, hi].
+
+    It is mu - sqrt(V/(c^2*W - 1)) from the mass W, mean mu and variance V
+    of the atoms, taken in two passes on z - a; with c^2*W <= 1, h' > 0
+    throughout and the root is lo.
+    """
+    y = z - a
+    mass = float(w.sum())
+    mean = float(w @ y) / mass
+    y -= mean
+    excess = c * c * mass - 1.0
+    dist = math.sqrt(float(w @ (y * y)) / mass / excess) if excess > 0.0 else math.inf
+    return min(max(a + mean - dist, lo), hi)
+
+
+def _bisect_in_cell(z, w, lo: float, hi: float, p: float, c: float) -> float:
+    """The root of h' in (lo, hi], where the atoms z >= hi are active and
+    h'(lo) <= 0 <= h'(hi), by bisection on the sign of :func:`_slope`."""
+    while hi - lo > 1e-15 * (1.0 - lo):
+        mid = 0.5 * (lo + hi)
+        if _slope(z, w, mid, p, c) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def higher_moment(m: DiscreteMeasure, p: float, c: float) -> tuple[float, float]:
     """inf over t of t + c*E[(X-t)_+^p]^(1/p); returns (value, minimizer).
 
-    The objective is convex and piecewise smooth with kinks at support
-    points, so a bracketing golden-section search is used, on the atoms
-    rescaled to z in [-1, 0].  The bracket is [-2, 0]: one span of margin
-    on the left because the minimizer can sit below the support.
+    Exact, on the atoms rescaled to z in [-1, 0] (Krokhmal 2007).  The
+    objective h is convex with slope h'(s) = 1 - c*E[(z-s)_+^(p-1)] /
+    E[(z-s)_+^p]^((p-1)/p), which is nondecreasing and equals
+    1 - c*w_max^(1/p) just below the largest atom: when that is <= 0 the
+    minimizer is the largest atom.  Otherwise a binary search over the
+    atoms on the sign of h' finds the cell between two atoms, or below the
+    smallest, where the active tails are fixed, and the root is solved
+    there: in closed form for p = 2, by bisection on the sign of h'
+    otherwise.  Below the smallest atom the root is no less than
+    (c*E z - c + 1)/(c - 1), by Jensen.
     """
     p, c = _check_pc(p, c)
-    if m.n_atoms == 1:
-        return float(m.positions[0]), float(m.positions[0])
-    z, x_max, span = _rescaled(m)
-    w, inv_p = m.weights, 1.0 / p
-
-    def h(s: float) -> float:
-        tail = np.maximum(z - s, 0.0)  # at most 2, so tail**p stays finite
-        return s + c * float(w @ tail**p) ** inv_p
-
-    value, s = _golden_section_min(h, -2.0, 0.0, 1e-12 * (1.0 + span) / span)
+    x_max = float(m.positions[-1])
+    w = m.weights
+    if m.n_atoms == 1 or 1.0 - c * float(w[-1]) ** (1.0 / p) <= 0.0:
+        return x_max, x_max
+    z, _, span = _rescaled(m)
+    # the smallest k with h'(z_k) >= 0; h' > 0 between the two largest atoms
+    lo_k, k = 0, m.n_atoms - 2
+    while lo_k < k:
+        mid = (lo_k + k) // 2
+        if _slope(z[mid + 1 :], w[mid + 1 :], float(z[mid]), p, c) >= 0.0:
+            k = mid
+        else:
+            lo_k = mid + 1
+    # the root lies in (lo, z_k], where the active atoms are z[k:]
+    zk, wk = z[k:], w[k:]
+    lo = float(z[k - 1]) if k else (c * float(w @ z) - c + 1.0) / (c - 1.0)
+    hi = float(z[k])
+    if p == 2.0:
+        s = _quadratic_root(zk, wk, float(z[max(k - 1, 0)]), lo, hi, c)
+    else:
+        s = _bisect_in_cell(zk, wk, lo, hi, p, c)
+    tau = (zk - s) / -s
+    value = s - c * s * float(wk @ tau**p) ** (1.0 / p)
     return x_max + span * value, x_max + span * s
 
 
@@ -177,10 +219,6 @@ def _certificate_at(
     s = (t_bar - x_max) / span
     tail = np.maximum(z - s, 0.0) / -s
     root = float(m.weights @ tail**p) ** (1.0 / p)  # a^(1/p) / -s, a on the rescaled atoms
-    if -s * root <= 1e-11 * (1.0 + span) / span:
-        # tail mass below solver resolution: the optimum sits at the
-        # essential sup and the dual potential degenerates to u = 0
-        return t_bar, 0.0, t_bar
     uq = -s * root / c ** (q - 1.0)
     conj = (uq / p) * (tail * (c ** (q - 1.0) / root)) ** p
     dual_z = math.fsum((conj * m.weights).tolist()) + uq / q * c**q

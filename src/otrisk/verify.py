@@ -116,7 +116,11 @@ class AxiomReport:
 
 
 def default_tolerance(spec: RiskSpec) -> float:
-    """1e-9 where evaluation is closed-form, 1e-6 where it is iterative."""
+    """1e-9 for closed-form families, 1e-6 for hull families and higher-moment.
+
+    Hull values are iterative.  Higher-moment values are exact, but keep
+    1e-6 so that the ``tol`` in their ``check`` reports stays the same.
+    """
     if isinstance(spec, HigherMoment):
         return 1e-6
     if isinstance(spec, Explicit) and spec.generators.hull_mode is HullMode.CONVEX_HULL:

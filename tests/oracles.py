@@ -222,7 +222,9 @@ def higher_moment_grid(values, weights, p: float, c: float, num: int = 4001, ref
         pos = np.maximum(x - t, 0.0)
         return t + c * float(w @ pos**p) ** (1.0 / p)
 
-    lo = float(x.min()) - (float(x.max()) - float(x.min())) - 1.0
+    # the minimizer can sit below the support, but no more than c*span/(c-1)
+    # below it: further down the Jensen bound t + c*(mean - t) exceeds h(x.max())
+    lo = float(x.min()) - c * (float(x.max()) - float(x.min())) / (c - 1.0) - 1.0
     hi = float(x.max()) + 1.0
     best_t, best_v = lo, math.inf
     for _ in range(refine + 1):

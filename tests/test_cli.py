@@ -565,6 +565,15 @@ def test_non_finite_report_is_exit_3(capsys, tmp_path):
     assert "value" not in rep
 
 
+def test_eval_weights_near_the_largest_double(capsys, tmp_path):
+    # the weights sum past the largest double; they still give the measure 1/2, 1/2
+    path = write_csv(tmp_path, "heavy.csv", "1,1e308\n2,1e308\n")
+    code, rep = run_cli(capsys, "eval", "--input", path, "--spec-json", '{"type":"cvar","beta":0}')
+    assert code == 0
+    assert rep["value"] == 1.5
+    assert rep["measure"]["mean"] == 1.5
+
+
 def test_console_module_subprocess(tmp_path):
     csv = tmp_path / "s.csv"
     csv.write_text("1\n2\n3\n4\n")

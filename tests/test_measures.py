@@ -72,6 +72,16 @@ def test_from_samples_errors():
         from_samples([1, 2], [1, 1, 1])
 
 
+def test_weights_near_the_largest_double_normalize():
+    # their sum overflows a double; the weights are summed after exact scaling
+    m = from_samples([1, 2], [1e308, 1e308])
+    assert m.atoms() == [(1.0, 0.5), (2.0, 0.5)]
+    m = from_samples([3, 1, 2], [1.7e308, 1.7e308, 5e-324])
+    assert m.atoms() == [(1.0, 0.5), (3.0, 0.5)]
+    with pytest.raises(ZeroTotalWeight):
+        DiscreteMeasure([1, 2], [1e308, 1e308])
+
+
 def test_direct_construction_rejects_badly_normalized_weights():
     # direct constructor wants probabilities, not masses
     with pytest.raises(ZeroTotalWeight):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from otrisk.errors import InvalidMixture, InvalidParams, OutOfRange
@@ -137,7 +139,7 @@ def test_higher_moment_matches_grid_oracle():
     for _ in range(20):
         m = random_measure(rng, n_max=6)
         p = float(rng.choice([1.5, 2.0, 3.0]))
-        c = float(rng.uniform(1.2, 4.0))
+        c = float(rng.uniform(1.01, 4.0))
         want, _ = oracles.higher_moment_grid(m.positions, m.weights, p, c)
         got, _ = higher_moment(m, p, c)
         assert got == pytest.approx(want, rel=1e-7, abs=1e-7)
@@ -154,9 +156,90 @@ def test_higher_moment_far_from_unit_scale():
     assert u == pytest.approx(1e200 * 0.37688918, rel=1e-6)
     assert dual == pytest.approx(value, rel=1e-12)
 
-    big = from_samples([0.0, 1e8])
-    assert all(map(math.isfinite, higher_moment(big, 50.0, 1.2)))
-    assert all(map(math.isfinite, higher_moment_certificate(big, 50.0, 1.2)))
+
+def test_higher_moment_minimizer_far_below_the_support():
+    # with c near 1 the minimizer sits three spans below the coin's support
+    c = 1.01
+    t_true = 0.5 - math.sqrt(0.25 / (c * c - 1.0))
+    v_true = t_true + c * math.sqrt(0.5 * (t_true**2 + (1.0 - t_true) ** 2))
+    coin = from_samples([0.0, 1.0])
+    value, t_star = higher_moment(coin, 2.0, c)
+    assert value == pytest.approx(0.570887, abs=1e-6)
+    assert value == pytest.approx(v_true, rel=1e-12)
+    assert t_star == pytest.approx(t_true, rel=1e-12)
+    t, _, dual = higher_moment_certificate(coin, 2.0, c)
+    assert t == t_star
+    assert dual == pytest.approx(v_true, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "values, p, sup",
+    [([0.0, 1e8], 50.0, 1e8), ([0.0, 1.0, 2.0, 5.0], 500.0, 5.0)],
+)
+def test_higher_moment_large_p(values, p, sup):
+    # 1 - c*w_max^(1/p) <= 0: the minimizer is the largest atom, whatever the
+    # tails' p-th powers would underflow to
+    m = from_samples(values)
+    value, t_star = higher_moment(m, p, 1.2)
+    assert value == pytest.approx(sup, rel=1e-12)
+    assert t_star == pytest.approx(sup, rel=1e-12)
+    t, u, dual = higher_moment_certificate(m, p, 1.2)
+    assert (t, u) == (t_star, 0.0)
+    assert dual == pytest.approx(sup, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_higher_moment_certificate_just_below_the_top(p):
+    # the minimizer lies about 1e-12 below the largest atom; the certificate
+    # still has u > 0 and matches the primal there
+    m = from_samples([0.0, 1.0 - 1e-12, 1.0], [0.01, 0.5, 0.49])
+    value, t_star = higher_moment(m, p, 1.2)
+    assert 0.0 < 1.0 - t_star < 1e-11
+    t, u, dual = higher_moment_certificate(m, p, 1.2)
+    assert t == t_star
+    assert u > 0.0
+    assert dual == pytest.approx(value, rel=1e-15)
+
+
+def _hm_objective(m, p, c, t):
+    """t + c*E[(X-t)_+^p]^(1/p), with the tails divided by the largest one."""
+    top = float(m.positions[-1]) - t
+    if top <= 0.0:
+        return t
+    tail = np.maximum(m.positions - t, 0.0) / top
+    return t + c * top * float(m.weights @ tail**p) ** (1.0 / p)
+
+
+def _hm_budget(m, t, h):
+    # a length-n dot product of nonnegative terms is good to n*eps relative;
+    # the atoms are rescaled by the span, so each tail is good to eps*span
+    eps = np.finfo(float).eps
+    span = float(m.positions[-1] - m.positions[0])
+    return 2.0 * (m.n_atoms + 8) * eps * (abs(h - t) + span) + 8.0 * eps * (abs(t) + abs(h))
+
+
+@given(
+    sample=st.integers(1, 40).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=n, max_size=n),
+            st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n),
+        )
+    ),
+    p=st.sampled_from([1.5, 2.0, 3.0, 7.0]),
+    c=st.floats(1.01, 5.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_higher_moment_is_the_minimum(sample, p, c):
+    m = from_samples(*sample)
+    value, t_star = higher_moment(m, p, c)
+    at_t = _hm_objective(m, p, c, t_star)
+    slack = _hm_budget(m, t_star, at_t)
+    assert abs(value - at_t) <= slack
+    span = float(m.positions[-1] - m.positions[0])
+    probes = m.positions.tolist() + [t_star - 1e-6 * (1.0 + span), t_star + 1e-6 * (1.0 + span)]
+    for t in probes:
+        h = _hm_objective(m, p, c, t)
+        assert value <= h + _hm_budget(m, t, h) + slack
 
 
 def test_higher_moment_param_validation():
