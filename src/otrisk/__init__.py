@@ -53,6 +53,7 @@ from .riskmeasures import (
     RiskSpec,
     cvar,
     cvar_target_set,
+    evaluate_batch,
     evaluate_risk,
     higher_moment,
     higher_moment_certificate,

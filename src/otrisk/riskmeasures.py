@@ -12,7 +12,8 @@ Four families share one interface:
   as one transport problem against the mixture's image measure.
 * ``Explicit(generators, p)`` — a user-supplied generator family.
 
-``evaluate_risk`` dispatches a spec against a measure.
+``evaluate_risk`` dispatches a spec against a measure;
+``evaluate_batch`` prices many equal-weight scenario vectors at once.
 """
 
 from __future__ import annotations
@@ -23,11 +24,19 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InvalidMixture, InvalidParams, OutOfRange
-from .measures import DiscreteMeasure, Order, as_order, conjugate_order
+from .errors import (
+    EmptyInput,
+    InvalidMixture,
+    InvalidParams,
+    LengthMismatch,
+    NonFiniteValue,
+    OutOfRange,
+)
+from .measures import DiscreteMeasure, Order, as_order, conjugate_order, from_samples
 from .transport import (
     GeneratorSet,
     HullMode,
+    _grid_values,
     finite_set_value,
     lipschitz_constant,
     transport_value,
@@ -46,6 +55,7 @@ __all__ = [
     "higher_moment_certificate",
     "kusuoka_image",
     "evaluate_risk",
+    "evaluate_batch",
     "lipschitz_and_order",
 ]
 
@@ -186,6 +196,78 @@ def higher_moment(m: DiscreteMeasure, p: float, c: float) -> tuple[float, float]
     tau = (zk - s) / -s
     value = s - c * s * float(wk @ tau**p) ** (1.0 / p)
     return x_max + span * value, x_max + span * s
+
+
+def _row_slopes(z: np.ndarray, s: np.ndarray, p: float, c: float) -> np.ndarray:
+    """:func:`_slope` of each equal-weight row of z at its own s < 0.
+
+    Atoms at or below s have no tail, so every atom enters, clipped at 0.
+    """
+    tau = np.maximum(z - s[:, None], 0.0)
+    tau /= -s[:, None]
+    tau_p1 = tau ** (p - 1.0)
+    n = z.shape[1]
+    b1 = tau_p1.sum(axis=1) / n
+    tau_p1 *= tau
+    return 1.0 - c * b1 / (tau_p1.sum(axis=1) / n) ** ((p - 1.0) / p)
+
+
+def _higher_moment_rows(x: np.ndarray, p: float, c: float) -> np.ndarray:
+    """:func:`higher_moment` values of the sorted equal-weight rows of x.
+
+    The same solve, run across the rows at once: the binary search over
+    the atoms, then the root in one cell, in closed form for p = 2 and by
+    bisection otherwise.  Ties stay unmerged; they change no tail sum,
+    and the largest atom's mass is its tie count over n.
+    """
+    n = x.shape[1]
+    x_max = x[:, -1]
+    top = (x == x_max[:, None]).sum(axis=1)
+    values = x_max.copy()
+    # constant rows have top == n and so fail this test too, as c > 1
+    live = 1.0 - c * (top / n) ** (1.0 / p) > 0.0
+    if not live.any():
+        return values
+    x, x_max, top = x[live], x_max[live], top[live]
+    span = x_max - x[:, 0]
+    z = (x - x_max[:, None]) / span[:, None]
+    rows = np.arange(z.shape[0])
+    # the smallest k with h'(z_k) >= 0; h' > 0 above the largest atom below the top
+    lo_k, k = np.zeros_like(top), n - top - 1
+    while (searching := lo_k < k).any():
+        mid = (lo_k + k) // 2
+        up = _row_slopes(z, z[rows, mid], p, c) >= 0.0
+        k = np.where(searching & up, mid, k)
+        lo_k = np.where(searching & ~up, mid + 1, lo_k)
+    # the root lies in (lo, z_k], where the active atoms are z[k:]
+    jensen = (c * z.mean(axis=1) - c + 1.0) / (c - 1.0)
+    below = z[rows, np.maximum(k - 1, 0)]
+    lo = np.where(k > 0, below, jensen)
+    hi = z[rows, k]
+    if p == 2.0:
+        # _quadratic_root, row-wise, anchored at the cell's left atom
+        active = np.arange(n) >= k[:, None]
+        count = n - k
+        y = np.where(active, z - below[:, None], 0.0)
+        mean = y.sum(axis=1) / count
+        y = np.where(active, y - mean[:, None], 0.0)
+        excess = c * c * count / n - 1.0
+        dist = np.full(len(rows), math.inf)
+        ok = excess > 0.0
+        dist[ok] = np.sqrt((y[ok] * y[ok]).sum(axis=1) / count[ok] / excess[ok])
+        s = np.minimum(np.maximum(below + mean - dist, lo), hi)
+    else:
+        # _bisect_in_cell, row-wise
+        while (open_ := hi - lo > 1e-15 * (1.0 - lo)).any():
+            mid = 0.5 * (lo + hi)
+            up = _row_slopes(z, mid, p, c) >= 0.0
+            hi = np.where(open_ & up, mid, hi)
+            lo = np.where(open_ & ~up, mid, lo)
+        s = hi
+    tau = np.maximum(z - s[:, None], 0.0) / -s[:, None]
+    value = s - c * s * ((tau**p).sum(axis=1) / n) ** (1.0 / p)
+    values[live] = x_max + span * value
+    return values
 
 
 def higher_moment_certificate(
@@ -365,6 +447,63 @@ def evaluate_risk(spec: RiskSpec, m: DiscreteMeasure) -> float:
 
         return duality_gap_report(m, spec.generators, SolverOptions()).primal_lower
     raise InvalidParams(f"unknown risk spec {spec!r}")
+
+
+def _row_excess(x: np.ndarray):
+    """The integrated excess of each sorted equal-weight row of x, as a
+    function of levels u shared by all rows; see
+    :meth:`DiscreteMeasure.integrated_excess`.
+
+    The cumulative weights are the exact grid k/n, so every row has the same
+    cells; ties need no merging, since Phi does not change.
+    """
+    n = x.shape[1]
+    cells = np.arange(1, n) / n
+    prefix = np.zeros(x.shape)
+    np.cumsum(x[:, :-1] - x[:, :1], axis=1, out=prefix[:, 1:])
+    prefix /= n
+
+    def excess(u):
+        i = cells.searchsorted(u, side="left")
+        x0 = x[:, :1].reshape((-1,) + (1,) * i.ndim)
+        return prefix[:, i] + (x[:, i] - x0) * (u - i / n)
+
+    return excess
+
+
+def evaluate_batch(spec: RiskSpec, X) -> np.ndarray:
+    """The risk of each row of X, a (B, n) array of equal-weight scenarios.
+
+    Row i gives ``evaluate_risk(spec, from_samples(X[i]))`` to round-off,
+    from one sort and one row-wise prefix of the integrated quantile.
+    CV@R, Kusuoka mixtures and finite families pair it with their targets
+    by parts; higher-moment runs its exact solve across the rows.  Hull
+    families go through :func:`evaluate_risk` row by row, so that they
+    keep one exact solver.
+    """
+    x = np.asarray(X, dtype=float)
+    if x.size == 0:
+        raise EmptyInput("a batch needs at least one row of at least one scenario")
+    if x.ndim != 2:
+        raise LengthMismatch(f"a batch must be a (rows, scenarios) array, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise NonFiniteValue("scenario values must be finite")
+    if isinstance(spec, Explicit) and spec.generators.hull_mode is HullMode.CONVEX_HULL:
+        return np.array([evaluate_risk(spec, from_samples(row)) for row in x])
+    x = np.sort(x, axis=1)
+    if isinstance(spec, HigherMoment):
+        return _higher_moment_rows(x, spec.p, spec.c)
+    if isinstance(spec, CVaR):
+        target = cvar_target_set(spec.beta)
+        y, rows = target.support, target.vertices
+    elif isinstance(spec, KusuokaMixture):
+        image = spec.image().image_measure
+        y, rows = image.positions, image.weights[None, :]
+    elif isinstance(spec, Explicit):
+        y, rows = spec.generators.support, spec.generators.vertices
+    else:
+        raise InvalidParams(f"unknown risk spec {spec!r}")
+    return _grid_values(x[:, :1], _row_excess(x), y, rows).max(axis=1)
 
 
 def lipschitz_and_order(spec: RiskSpec) -> tuple[float, Union[float, Order]]:

@@ -253,21 +253,27 @@ def comonotone_coupling(m: DiscreteMeasure, r: DiscreteMeasure) -> Coupling:
     return Coupling(m.positions[im], r.positions[ir], widths)
 
 
-def _grid_values(m: DiscreteMeasure, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """transport_value of m against each row of weights on the grid y.
+def _grid_values(x0, excess, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Transport values of a measure against each row of weights on the grid y.
 
-    By parts, y_K Phi(1) - sum_k d_k Phi(C_k), with Phi(u) = x_0 u + m.integrated_excess(u).
+    By parts, y_K Phi(1) - sum_k d_k Phi(C_k), with Phi(u) = x_0 u + excess(u),
+    where x0 is the smallest atom and excess is the measure's
+    :meth:`~DiscreteMeasure.integrated_excess`.  Both may carry a leading
+    axis of measures, one value row each (the batch path of
+    :func:`otrisk.riskmeasures.evaluate_batch`).
     """
     C = rows.cumsum(axis=1)
     C[:, -1] = 1.0
-    phi = m.integrated_excess(C)
-    tail = y[-1] * phi[:, -1] - phi[:, :-1] @ (y[1:] - y[:-1])
-    return m.positions[0] * (rows @ y) + tail
+    phi = excess(C)
+    tail = y[-1] * phi[..., -1] - phi[..., :-1] @ (y[1:] - y[:-1])
+    return x0 * (rows @ y) + tail
 
 
 def transport_value(m: DiscreteMeasure, r: DiscreteMeasure) -> float:
     """max E[x*y] over couplings of m and r: m's integrated quantile paired with r."""
-    return float(_grid_values(m, r.positions, r.weights[None, :])[0])
+    return float(
+        _grid_values(m.positions[0], m.integrated_excess, r.positions, r.weights[None, :])[0]
+    )
 
 
 def finite_set_value(
@@ -286,7 +292,7 @@ def finite_set_value(
             "vertex max is only a lower bound for a convex hull; "
             "use the dual solver, or pass allow_lower_bound=True"
         )
-    values = _grid_values(m, R.support, R.vertices)
+    values = _grid_values(m.positions[0], m.integrated_excess, R.support, R.vertices)
     best = int(np.argmax(values))
     return float(values[best]), best
 

@@ -10,9 +10,16 @@ reported violation is reproducible from the seed alone, on any platform:
     z := z XOR (z >> 31)
     uniform := (z >> 11) * 2^-53
 
+The k-th output is thus the mix of seed + k*0x9E3779B97F4A7C15, so the
+harness draws whole stretches of the stream in one numpy pass.
+
 The checks evaluate a risk functional on equal-weight empirical vectors,
 where translation, scaling, coordinatewise comparison and convex
-combination are all well-defined pointwise operations.
+combination are all well-defined pointwise operations.  The pairs are
+grouped by length, and every vector one check needs from a group's pairs
+is priced in one :func:`~otrisk.riskmeasures.evaluate_batch` call; each
+check then reports its largest violation, clipped at 0, with the witness
+of the first pair that attains it.
 """
 
 from __future__ import annotations
@@ -21,15 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch
-from .measures import from_samples
+from .errors import EmptyInput, InvalidParams, LengthMismatch
+from .measures import INF
 from .riskmeasures import (
-    CVaR,
     Explicit,
     HigherMoment,
-    KusuokaMixture,
     RiskSpec,
-    evaluate_risk,
+    evaluate_batch,
     lipschitz_and_order,
 )
 from .transport import HullMode
@@ -79,19 +84,54 @@ class SplitMix64:
         return lo + self.next_raw() % (hi - lo + 1)
 
 
+def _splitmix_raw(seed: int, start: int, count: int) -> np.ndarray:
+    """Outputs start+1 .. start+count of ``SplitMix64(seed).next_raw()``.
+
+    Output k mixes seed + k*gamma, so any stretch of the stream is one
+    vectorized pass; uint64 arithmetic wraps mod 2^64 as the update does.
+    """
+    k = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = np.uint64(int(seed) & _MASK64) + k * np.uint64(_GAMMA)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
+def _uniforms(raw: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+    """:meth:`SplitMix64.uniform_in` of each raw output, in the same float steps."""
+    return lo + (hi - lo) * ((raw >> np.uint64(11)).astype(float) * 2.0**-53)
+
+
+# pairs drawn per block of the stream in sample_pairs
+_PAIR_BLOCK = 4096
+
+
 def sample_pairs(seed: int, count: int, max_len: int = 12, scale: float = 10.0):
     """Deterministic paired sample vectors for the checks below.
 
     Each item is a pair (x1, x2) of equal-length float arrays with
     entries in [-scale, scale].  Lengths vary between 1 and max_len.
+    The draws are those of ``SplitMix64(seed)``: per pair, its length
+    ``integer(1, max_len)``, then x1 and x2 by ``uniform_in(-scale, scale)``.
     """
-    gen = SplitMix64(seed)
+    if max_len < 1:
+        raise InvalidParams(f"max_len must be at least 1, got {max_len!r}")
     pairs = []
-    for _ in range(count):
-        n = gen.integer(1, max_len)
-        x1 = np.array([gen.uniform_in(-scale, scale) for _ in range(n)])
-        x2 = np.array([gen.uniform_in(-scale, scale) for _ in range(n)])
-        pairs.append((x1, x2))
+    offset = 0
+    while len(pairs) < count:
+        block = min(count - len(pairs), _PAIR_BLOCK)
+        # enough draws for the longest pairs; a block of pairs uses fewer
+        raw = _splitmix_raw(seed, offset, block * (1 + 2 * max_len))
+        lengths = (raw % np.uint64(max_len) + np.uint64(1)).tolist()
+        values = _uniforms(raw, -scale, scale)
+        at = 0
+        for _ in range(block):
+            n = lengths[at]
+            x = values[at + 1 : at + 1 + 2 * n]
+            pairs.append((x[:n].copy(), x[n:].copy()))
+            at += 1 + 2 * n
+        offset += at
     return pairs
 
 
@@ -128,38 +168,53 @@ def default_tolerance(spec: RiskSpec) -> float:
     return 1e-9
 
 
-class _Tracker:
-    """Keeps the worst violation and its witness per check name."""
-
-    def __init__(self, names):
-        self.worst = {name: (0.0, None) for name in names}
-
-    def record(self, name, violation, witness):
-        violation = max(0.0, float(violation))
-        if self.worst[name][1] is None or violation > self.worst[name][0]:
-            self.worst[name] = (violation, witness)
-
-    def report(self, tol) -> AxiomReport:
-        checks = tuple(
-            AxiomCheck(name, v, w) for name, (v, w) in self.worst.items()
-        )
-        return AxiomReport(tol=tol, checks=checks)
-
-
 def _validated_pairs(samples):
     pairs = list(samples)
     if not pairs:
         raise EmptyInput("no sample pairs to check")
     out = []
     for x1, x2 in pairs:
-        a1 = np.asarray(x1, dtype=float)
-        a2 = np.asarray(x2, dtype=float)
+        a1 = np.atleast_1d(np.asarray(x1, dtype=float))
+        a2 = np.atleast_1d(np.asarray(x2, dtype=float))
         if a1.shape != a2.shape:
             raise LengthMismatch(
                 f"paired vectors must have equal length, got {a1.shape} vs {a2.shape}"
             )
+        if a1.ndim != 1:
+            raise LengthMismatch("paired vectors must be flat sequences")
         out.append((a1, a2))
     return out
+
+
+def _by_length(pairs):
+    """(indices, X1, X2) per length: the pairs of one length stacked as rows."""
+    groups = {}
+    for i, (x1, _) in enumerate(pairs):
+        groups.setdefault(x1.size, []).append(i)
+    for idx in groups.values():
+        yield (
+            np.array(idx),
+            np.array([pairs[i][0] for i in idx]),
+            np.array([pairs[i][1] for i in idx]),
+        )
+
+
+def _worst(violations: np.ndarray) -> tuple[float, int]:
+    """The largest violation clipped at 0, and the first candidate that
+    attains it (candidate 0 when nothing is violated)."""
+    clipped = np.fmax(violations, 0.0)
+    best = int(np.argmax(clipped))
+    return float(clipped[best]), best
+
+
+def _row_moments(x: np.ndarray, p) -> np.ndarray:
+    """:meth:`DiscreteMeasure.moment` of each equal-weight row of x."""
+    a = np.abs(x)
+    if p is INF:
+        return a.max(axis=1)
+    if p == 1.0:
+        return a.mean(axis=1)
+    return (a**p).mean(axis=1) ** (1.0 / p)
 
 
 def check_axioms(spec: RiskSpec, samples, tol: float, seed: int = 0) -> AxiomReport:
@@ -180,50 +235,44 @@ def check_axioms(spec: RiskSpec, samples, tol: float, seed: int = 0) -> AxiomRep
     its own line rather than folded into the monotonicity number.
     """
     pairs = _validated_pairs(samples)
-    gen = SplitMix64(seed)
-    tracker = _Tracker(
-        ["translation", "homogeneity", "monotonicity", "convexity", "monotonicity_fsd"]
-    )
+    raw = _splitmix_raw(seed, 0, 3 * len(pairs)).reshape(-1, 3)
+    alpha = _uniforms(raw[:, 0], -10.0, 10.0)
+    delta = _uniforms(raw[:, 1], 0.0, 10.0)
+    theta = _uniforms(raw[:, 2])
+    # each check, with what its witness holds besides x1 of the worst pair i
+    extras = {
+        "translation": lambda i: {"alpha": float(alpha[i])},
+        "homogeneity": lambda i: {"delta": float(delta[i])},
+        "monotonicity": lambda i: {"x2": np.maximum(*pairs[i]).tolist()},
+        "convexity": lambda i: {"x2": pairs[i][1].tolist(), "theta": float(theta[i])},
+        "monotonicity_fsd": lambda i: {"x2": pairs[i][1].tolist()},
+    }
+    found = {name: np.empty(len(pairs)) for name in extras}
+    for idx, x1, x2 in _by_length(pairs):
+        a, d, t = alpha[idx], delta[idx], theta[idx]
+        rows = (
+            x1,
+            x1 + a[:, None],
+            d[:, None] * x1,
+            np.maximum(x1, x2),
+            x2,
+            (1.0 - t[:, None]) * x1 + t[:, None] * x2,
+            np.maximum(np.sort(x1, axis=1), np.sort(x2, axis=1)),
+        )
+        r1, shifted, scaled, upper, r2, blend, dominating = evaluate_batch(
+            spec, np.concatenate(rows)
+        ).reshape(len(rows), -1)
+        found["translation"][idx] = np.abs(shifted - r1 - a)
+        found["homogeneity"][idx] = np.abs(scaled - d * r1)
+        found["monotonicity"][idx] = r1 - upper
+        found["convexity"][idx] = blend - ((1.0 - t) * r1 + t * r2)
+        found["monotonicity_fsd"][idx] = r1 - dominating
 
-    def rho(vec):
-        return evaluate_risk(spec, from_samples(vec))
-
-    for x1, x2 in pairs:
-        alpha = gen.uniform_in(-10.0, 10.0)
-        delta = gen.uniform_in(0.0, 10.0)
-        theta = gen.uniform()
-        r1 = rho(x1)
-
-        tracker.record(
-            "translation",
-            abs(rho(x1 + alpha) - r1 - alpha),
-            {"x1": x1.tolist(), "alpha": alpha},
-        )
-        tracker.record(
-            "homogeneity",
-            abs(rho(delta * x1) - delta * r1),
-            {"x1": x1.tolist(), "delta": delta},
-        )
-        upper = np.maximum(x1, x2)
-        tracker.record(
-            "monotonicity",
-            r1 - rho(upper),
-            {"x1": x1.tolist(), "x2": upper.tolist()},
-        )
-        r2 = rho(x2)
-        blend = (1.0 - theta) * x1 + theta * x2
-        tracker.record(
-            "convexity",
-            rho(blend) - ((1.0 - theta) * r1 + theta * r2),
-            {"x1": x1.tolist(), "x2": x2.tolist(), "theta": theta},
-        )
-        dominating = np.maximum(np.sort(x1), np.sort(x2))
-        tracker.record(
-            "monotonicity_fsd",
-            r1 - rho(dominating),
-            {"x1": x1.tolist(), "x2": x2.tolist()},
-        )
-    return tracker.report(tol)
+    checks = []
+    for name, extra in extras.items():
+        worst, i = _worst(found[name])
+        checks.append(AxiomCheck(name, worst, {"x1": pairs[i][0].tolist(), **extra(i)}))
+    return AxiomReport(tol=tol, checks=tuple(checks))
 
 
 def check_bounds(spec: RiskSpec, samples, tol: float) -> AxiomReport:
@@ -237,23 +286,29 @@ def check_bounds(spec: RiskSpec, samples, tol: float) -> AxiomReport:
     """
     pairs = _validated_pairs(samples)
     L, p = lipschitz_and_order(spec)
-    tracker = _Tracker(["aversity", "lipschitz", "elementary"])
+    # candidates 2i and 2i + 1 are x1 and x2 of pair i
+    aversity = np.empty(2 * len(pairs))
+    elementary = np.empty(2 * len(pairs))
+    lipschitz = np.empty(len(pairs))
+    for idx, x1, x2 in _by_length(pairs):
+        x = np.concatenate((x1, x2))
+        r = evaluate_batch(spec, x)
+        both = np.concatenate((2 * idx, 2 * idx + 1))
+        aversity[both] = x.mean(axis=1) - r
+        elementary[both] = np.abs(r) - _row_moments(x, p) * L
+        r1, r2 = r.reshape(2, -1)
+        lipschitz[idx] = np.abs(r2 - r1) - L * _row_moments(np.abs(x2 - x1), p)
 
-    for x1, x2 in pairs:
-        m1 = from_samples(x1)
-        m2 = from_samples(x2)
-        r1 = evaluate_risk(spec, m1)
-        r2 = evaluate_risk(spec, m2)
-
-        for vec, m, r in ((x1, m1, r1), (x2, m2, r2)):
-            witness = {"x": vec.tolist()}
-            tracker.record("aversity", m.expectation() - r, witness)
-            tracker.record("elementary", abs(r) - m.moment(p) * L, witness)
-
-        diff_norm = from_samples(np.abs(x2 - x1)).moment(p)
-        tracker.record(
-            "lipschitz",
-            abs(r2 - r1) - L * diff_norm,
-            {"x1": x1.tolist(), "x2": x2.tolist(), "L": L},
-        )
-    return tracker.report(tol)
+    checks = []
+    for name, violations in (
+        ("aversity", aversity),
+        ("lipschitz", lipschitz),
+        ("elementary", elementary),
+    ):
+        worst, i = _worst(violations)
+        if name == "lipschitz":
+            witness = {"x1": pairs[i][0].tolist(), "x2": pairs[i][1].tolist(), "L": L}
+        else:
+            witness = {"x": pairs[i // 2][i % 2].tolist()}
+        checks.append(AxiomCheck(name, worst, witness))
+    return AxiomReport(tol=tol, checks=tuple(checks))

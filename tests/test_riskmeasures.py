@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from otrisk.errors import InvalidMixture, InvalidParams, OutOfRange
+from otrisk.errors import (
+    EmptyInput,
+    InvalidMixture,
+    InvalidParams,
+    LengthMismatch,
+    NonFiniteValue,
+    OutOfRange,
+)
 from otrisk.measures import DiscreteMeasure, from_samples, point_mass, uniform_on
 from otrisk.riskmeasures import (
     CVaR,
@@ -17,12 +24,13 @@ from otrisk.riskmeasures import (
     KusuokaMixture,
     cvar,
     cvar_target_set,
+    evaluate_batch,
     evaluate_risk,
     higher_moment,
     higher_moment_certificate,
     kusuoka_image,
 )
-from otrisk.transport import GeneratorSet, transport_value
+from otrisk.transport import GeneratorSet, HullMode, transport_value
 
 # analytic optimum of t + 1.2*sqrt(0.5*(t^2 + (1-t)^2)): first-order condition
 # squares to 0.44 t^2 - 0.44 t - 0.14 = 0, taking the negative root
@@ -365,6 +373,69 @@ def test_risk_spec_validation():
         KusuokaMixture(((0.2, 0.5),))
     assert HigherMoment(2.0, 1.5).q == 2.0
     assert HigherMoment(3.0, 1.5).q == 1.5
+
+
+# ----------------------------------------------------------------------
+# batches of equal-weight scenario vectors
+
+README_FAMILY = GeneratorSet([0.0, 0.5, 1.5, 4.0], [[1 / 3, 0, 2 / 3, 0], [0, 6 / 7, 0, 1 / 7]])
+
+
+@st.composite
+def scenario_batches(draw):
+    """(B, n) arrays with n in 1..12: small integers make ties, and some
+    batches end with a constant row."""
+    n = draw(st.integers(1, 12))
+    value = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3))
+    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        rows.append([rows[0][0]] * n)
+    return np.array(rows)
+
+
+@given(
+    spec=st.one_of(
+        st.floats(0.0, 0.99).map(CVaR),
+        st.builds(HigherMoment, st.sampled_from([1.5, 2.0, 3.0, 7.0]), st.floats(1.01, 5.0)),
+        st.sampled_from(
+            [
+                KusuokaMixture(((0.25, 0.5), (0.6, 0.5))),
+                KusuokaMixture(((0.0, 0.3), (0.5, 0.4), (0.9, 0.3))),
+            ]
+        ),
+        st.sampled_from([Explicit(cvar_target_set(0.3)), Explicit(README_FAMILY)]),
+    ),
+    X=scenario_batches(),
+)
+@settings(max_examples=400, deadline=None)
+def test_evaluate_batch_matches_evaluate_risk(spec, X):
+    got = evaluate_batch(spec, X)
+    assert got.shape == (len(X),)
+    for value, row in zip(got.tolist(), X):
+        want = evaluate_risk(spec, from_samples(row))
+        assert abs(value - want) <= 1e-12 * (1.0 + abs(want) + np.ptp(row))
+
+
+def test_evaluate_batch_hull_rows_use_the_exact_solver():
+    spec = Explicit(GeneratorSet(README_FAMILY.support, README_FAMILY.vertices, HullMode.CONVEX_HULL))
+    X = np.random.default_rng(4).normal(0.0, 3.0, size=(3, 7))
+    want = [evaluate_risk(spec, from_samples(row)) for row in X]
+    assert evaluate_batch(spec, X).tolist() == want
+
+
+def test_evaluate_batch_errors():
+    with pytest.raises(LengthMismatch):
+        evaluate_batch(CVaR(0.5), [1.0, 2.0])
+    with pytest.raises(LengthMismatch):
+        evaluate_batch(CVaR(0.5), np.zeros((2, 2, 2)))
+    for empty in ([], np.zeros((0, 3)), np.zeros((2, 0))):
+        with pytest.raises(EmptyInput):
+            evaluate_batch(CVaR(0.5), empty)
+    for bad in (math.inf, -math.inf, math.nan):
+        X = np.zeros((2, 3))
+        X[1, 2] = bad
+        with pytest.raises(NonFiniteValue):
+            evaluate_batch(HigherMoment(2.0, 1.2), X)
 
 
 def unit_mean_vertex(rng, support):

@@ -14,6 +14,7 @@ from otrisk import (
     GeneratorSet,
     HigherMoment,
     HullMode,
+    InvalidParams,
     KusuokaMixture,
     LengthMismatch,
     SplitMix64,
@@ -57,6 +58,74 @@ def test_splitmix_uniforms_and_determinism():
     assert set(vals) <= {3, 4, 5}
 
 
+def reference_pairs(seed, count, max_len=12, scale=10.0):
+    """sample_pairs drawn one value at a time from SplitMix64."""
+    gen = SplitMix64(seed)
+    pairs = []
+    for _ in range(count):
+        n = gen.integer(1, max_len)
+        x1 = np.array([gen.uniform_in(-scale, scale) for _ in range(n)])
+        x2 = np.array([gen.uniform_in(-scale, scale) for _ in range(n)])
+        pairs.append((x1, x2))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 5, -1, 20260815])
+@pytest.mark.parametrize("kwargs", [{}, {"max_len": 1}, {"max_len": 3, "scale": 0.25}])
+def test_sample_pairs_match_the_generator_bit_for_bit(seed, kwargs):
+    got = sample_pairs(seed, 500, **kwargs)
+    want = reference_pairs(seed, 500, **kwargs)
+    assert len(got) == len(want)
+    for (a1, a2), (b1, b2) in zip(got, want):
+        assert a1.tobytes() == b1.tobytes() and a2.tobytes() == b2.tobytes()
+
+
+def test_sample_pairs_long_streams_match_the_generator():
+    # more pairs than one block of the stream, and vectors longer than the default
+    got = sample_pairs(8, 5000, max_len=30, scale=1e300)
+    for (a1, a2), (b1, b2) in zip(got, reference_pairs(8, 5000, max_len=30, scale=1e300)):
+        assert a1.tobytes() == b1.tobytes() and a2.tobytes() == b2.tobytes()
+
+
+def test_axiom_draws_follow_the_generator(monkeypatch):
+    # with rho = 0 the translation violation of pair i is |alpha_i|, the
+    # first of the three draws per pair
+    monkeypatch.setattr(otrisk.verify, "evaluate_batch", lambda spec, X: np.zeros(len(X)))
+    pairs = sample_pairs(3, 80)
+    gen = SplitMix64(41)
+    alphas = []
+    for _ in pairs:
+        alphas.append(gen.uniform_in(-10.0, 10.0))
+        gen.uniform_in(0.0, 10.0)
+        gen.uniform()
+    worst = max(alphas, key=abs)
+    by_name = {c.name: c for c in check_axioms(CVaR(0.5), pairs, tol=1e-9, seed=41).checks}
+    assert by_name["translation"].witness["alpha"] == worst
+    assert by_name["translation"].max_violation == abs(worst)
+
+
+def test_witness_is_the_first_pair_at_the_worst_violation(monkeypatch):
+    pairs = [
+        (np.array([0.0]), np.array([1.0])),
+        (np.array([0.0]), np.array([4.0])),
+        (np.array([1.0]), np.array([5.0])),
+    ]
+    # an antitone functional: pairs 1 and 2 both break monotonicity by 4
+    monkeypatch.setattr(otrisk.verify, "evaluate_batch", lambda spec, X: -X.mean(axis=1))
+    by_name = {c.name: c for c in check_axioms(CVaR(0.5), pairs, tol=1e-9).checks}
+    assert by_name["monotonicity"].max_violation == 4.0
+    assert by_name["monotonicity"].witness == {"x1": [0.0], "x2": [4.0]}
+    # the mean violates no bound, so every witness is pair 0
+    monkeypatch.setattr(otrisk.verify, "evaluate_batch", lambda spec, X: X.mean(axis=1))
+    report = check_bounds(CVaR(0.5), pairs, tol=1e-9)
+    assert [c.max_violation for c in report.checks] == [0.0, 0.0, 0.0]
+    assert [c.witness for c in report.checks] == [
+        {"x": [0.0]},
+        {"x1": [0.0], "x2": [1.0], "L": 2.0},
+        {"x": [0.0]},
+    ]
+
+
 def test_sample_pairs_shape_and_determinism():
     pairs = sample_pairs(11, 40, max_len=9, scale=4.0)
     assert len(pairs) == 40
@@ -68,6 +137,9 @@ def test_sample_pairs_shape_and_determinism():
     for (a1, a2), (b1, b2) in zip(pairs, again):
         np.testing.assert_array_equal(a1, b1)
         np.testing.assert_array_equal(a2, b2)
+    for max_len in (0, -3):
+        with pytest.raises(InvalidParams):
+            sample_pairs(11, 40, max_len=max_len)
 
 
 # ------------------------------------------------------------------ axioms
@@ -116,12 +188,17 @@ def test_axioms_kusuoka_and_hull():
     assert report.passed
 
 
+def rowwise(functional):
+    """A stand-in for evaluate_batch that applies functional to each row's measure."""
+    return lambda spec, X: np.array([functional(spec, from_samples(row)) for row in X])
+
+
 def test_axioms_flag_broken_functional(monkeypatch):
     # the harness has to be able to fail: second moment breaks translation
     def broken(spec, measure):
         return float(measure.moment(2.0)) ** 2
 
-    monkeypatch.setattr(otrisk.verify, "evaluate_risk", broken)
+    monkeypatch.setattr(otrisk.verify, "evaluate_batch", rowwise(broken))
     report = check_axioms(CVaR(0.5), sample_pairs(5, 30), tol=1e-6)
     assert not report.passed
     by_name = {c.name: c for c in report.checks}
@@ -181,7 +258,7 @@ def test_bounds_flag_broken_functional(monkeypatch):
     def below_mean(spec, measure):
         return measure.expectation() - 1.0
 
-    monkeypatch.setattr(otrisk.verify, "evaluate_risk", below_mean)
+    monkeypatch.setattr(otrisk.verify, "evaluate_batch", rowwise(below_mean))
     report = check_bounds(CVaR(0.5), sample_pairs(12, 30), tol=1e-9)
     assert not report.passed
     assert {c.name for c in report.checks if c.max_violation > 0.9} >= {"aversity"}
