@@ -36,10 +36,7 @@ from .transport import (
     Coupling,
     GeneratorSet,
     HullMode,
-    PotentialPair,
     comonotone_coupling,
-    exact_potentials,
-    feasibility_violation,
     finite_set_value,
     lipschitz_constant,
     transport_value,

@@ -222,10 +222,11 @@ class DiscreteMeasure:
         a = np.abs(self.positions)
         if p is INF:
             return float(a.max())
-        if p == 1.0:
-            return math.fsum((a * self.weights).tolist())
-        s = math.fsum(((a**p) * self.weights).tolist())
-        return s ** (1.0 / p)
+        # divided exactly by the power of two above the largest |x|, so that
+        # no power overflows
+        e = math.frexp(float(a.max()))[1]
+        s = math.fsum(((np.ldexp(a, -e) ** p) * self.weights).tolist())
+        return math.ldexp(s ** (1.0 / p), e)
 
     def cells(self, u) -> np.ndarray:
         """Atom index of the quantile cell (e_i, C_i] holding each level u."""
@@ -234,12 +235,7 @@ class DiscreteMeasure:
     def excess_prefix(self) -> tuple[np.ndarray, np.ndarray]:
         """Left cell edges e_i and :meth:`integrated_excess` at them, built once."""
         if self._prefix is None:
-            x, cum = self.positions, self.cumulative
-            edges = np.concatenate(([0.0], cum[:-1]))
-            prefix = np.empty(cum.size)
-            prefix[0] = 0.0
-            # summed over the cell widths, so the prefix and the cells agree
-            ((x[:-1] - x[0]) * (cum[:-1] - edges[:-1])).cumsum(out=prefix[1:])
+            edges, prefix = _excess_prefix(self.positions, self.cumulative)
             edges.setflags(write=False)
             prefix.setflags(write=False)
             object.__setattr__(self, "_prefix", (edges, prefix))
@@ -251,9 +247,32 @@ class DiscreteMeasure:
         Measured from the smallest atom x_0, so rounding scales with the span.
         """
         u = np.asarray(u, dtype=float)
-        edges, prefix = self.excess_prefix()
-        i = self.cells(u)
-        return prefix[i] + (self.positions[i] - self.positions[0]) * (u - edges[i])
+        return _integrated_excess(self.positions, self.cumulative, *self.excess_prefix(), u)
+
+
+def _excess_prefix(x: np.ndarray, cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left cell edges e_i of the grid cum, and Phi(e_i) - e_i*x_0 of each row of x.
+
+    x holds sorted atoms along its last axis, one measure per row, and cum
+    their shared cumulative masses, ending at 1: a measure's own grid, or
+    k/n for a batch of equal-weight rows, whose ties need no merging.
+    """
+    edges = np.concatenate(([0.0], cum[:-1]))
+    prefix = np.zeros(x.shape)
+    # summed over the cell widths, so the prefix and the cells agree
+    widths = cum[:-1] - edges[:-1]
+    np.cumsum((x[..., :-1] - x[..., :1]) * widths, axis=-1, out=prefix[..., 1:])
+    return edges, prefix
+
+
+def _integrated_excess(x, cum, edges, prefix, u: np.ndarray) -> np.ndarray:
+    """Phi(u) - u*x_0 of each row of x at the levels u, from :func:`_excess_prefix`.
+
+    Rows lead the result's axes, followed by those of u.
+    """
+    i = cum[:-1].searchsorted(u, side="left")
+    x0 = x[..., :1].reshape(x.shape[:-1] + (1,) * i.ndim)
+    return prefix[..., i] + (x[..., i] - x0) * (u - edges[i])
 
 
 def _normalized(w: np.ndarray) -> tuple[np.ndarray, float]:
@@ -321,22 +340,21 @@ def uniform_on(values: Iterable[float]) -> DiscreteMeasure:
 # merged partitions and the 1-D Wasserstein distance
 
 
-def merged_partition(
-    m1: DiscreteMeasure, m2: DiscreteMeasure, tol: float = BREAKPOINT_TOL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def merged_partition(m1: DiscreteMeasure, m2: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Union of two cumulative-weight grids.
 
     Returns ``(breaks, idx1, idx2)`` where ``breaks`` is strictly
     increasing and ends at exactly 1, and ``idx1[c]`` / ``idx2[c]`` index
     the atom of each measure whose quantile cell covers
-    ``(breaks[c-1], breaks[c]]``.  Breakpoints closer than ``tol`` are
-    collapsed so simultaneous jumps stay simultaneous.
+    ``(breaks[c-1], breaks[c]]``.  Breakpoints closer than
+    :data:`BREAKPOINT_TOL` are collapsed so simultaneous jumps stay
+    simultaneous.
     """
     allb = np.concatenate((m1.cumulative, m2.cumulative))
     allb.sort(kind="stable")
     keep = np.empty(allb.size, dtype=bool)
     keep[0] = True
-    np.greater(np.diff(allb), tol, out=keep[1:])
+    np.greater(np.diff(allb), BREAKPOINT_TOL, out=keep[1:])
     breaks = allb[keep]
     breaks[-1] = 1.0
     idx1 = np.searchsorted(m1.cumulative, breaks, side="left")

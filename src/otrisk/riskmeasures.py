@@ -18,6 +18,7 @@ Four families share one interface:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -32,7 +33,15 @@ from .errors import (
     NonFiniteValue,
     OutOfRange,
 )
-from .measures import DiscreteMeasure, Order, as_order, conjugate_order, from_samples
+from .measures import (
+    DiscreteMeasure,
+    Order,
+    _excess_prefix,
+    _integrated_excess,
+    as_order,
+    conjugate_order,
+    from_samples,
+)
 from .transport import (
     GeneratorSet,
     HullMode,
@@ -114,47 +123,90 @@ def _rescaled(m: DiscreteMeasure) -> tuple[np.ndarray, float, float]:
     return (m.positions - x_max) / span, x_max, span
 
 
-def _slope(z: np.ndarray, w: np.ndarray, s: float, p: float, c: float) -> float:
-    """h'(s) = 1 - c*B_{p-1}/B_p^((p-1)/p) from the atoms z > s with masses w.
+def _row_slopes(z: np.ndarray, w: np.ndarray, s: np.ndarray, p: float, c: float) -> np.ndarray:
+    """h'(s) = 1 - c*B_{p-1}/B_p^((p-1)/p) of each row of z at its own s < 0.
 
-    z ends with the largest atom, 0, and B_r is sum w*tau^r over the tails
-    divided by the largest one, tau = (z - s)/-s, so that no power
-    underflows at any p.
+    The columns of z are atoms with the masses w, and end with the largest
+    atom, 0.  B_r is w @ tau^r over the tails divided by the largest one,
+    tau = (z - s)_+/-s, so that no power underflows at any p; atoms at or
+    below s have no tail.
     """
-    tau = z - s
-    tau /= -s
+    tau = z - s[:, None]
+    np.maximum(tau, 0.0, out=tau)
+    tau /= -s[:, None]
     tau_p1 = tau ** (p - 1.0)
-    b1 = float(w @ tau_p1)
+    b1 = tau_p1 @ w
     tau_p1 *= tau
-    return 1.0 - c * b1 / float(w @ tau_p1) ** ((p - 1.0) / p)
+    return 1.0 - c * b1 / (tau_p1 @ w) ** ((p - 1.0) / p)
 
 
-def _quadratic_root(z, w, a: float, lo: float, hi: float, c: float) -> float:
-    """The root of h' for p = 2 with the atoms z active, clamped to [lo, hi].
+def _higher_moment_rows(x: np.ndarray, w: np.ndarray, p: float, c: float):
+    """(values, minimizers) of :func:`higher_moment` for the sorted rows of x,
+    whose columns carry the masses w.
 
-    It is mu - sqrt(V/(c^2*W - 1)) from the mass W, mean mu and variance V
-    of the atoms, taken in two passes on z - a; with c^2*W <= 1, h' > 0
-    throughout and the root is lo.
+    The solve that :func:`higher_moment` describes, run on all rows at
+    once; each pass reads only the columns above every row's search point.
+    Ties within a row may stay unmerged: the largest atom's mass is that
+    of all its copies.
     """
-    y = z - a
-    mass = float(w.sum())
-    mean = float(w @ y) / mass
-    y -= mean
-    excess = c * c * mass - 1.0
-    dist = math.sqrt(float(w @ (y * y)) / mass / excess) if excess > 0.0 else math.inf
-    return min(max(a + mean - dist, lo), hi)
-
-
-def _bisect_in_cell(z, w, lo: float, hi: float, p: float, c: float) -> float:
-    """The root of h' in (lo, hi], where the atoms z >= hi are active and
-    h'(lo) <= 0 <= h'(hi), by bisection on the sign of :func:`_slope`."""
-    while hi - lo > 1e-15 * (1.0 - lo):
-        mid = 0.5 * (lo + hi)
-        if _slope(z, w, mid, p, c) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    n = x.shape[1]
+    x_max = x[:, -1]
+    is_top = x == x_max[:, None]
+    ties = is_top.sum(axis=1)
+    a = n - ties.max()
+    values = x_max.copy()
+    minimizers = x_max.copy()
+    # constant rows have all the mass on top and so fail this test too, as c > 1
+    live = 1.0 - c * (is_top[:, a:] @ w[a:]) ** (1.0 / p) > 0.0
+    if not live.any():
+        return values, minimizers
+    x, x_max = x[live], x_max[live]
+    span = x_max - x[:, 0]
+    z = (x - x_max[:, None]) / span[:, None]
+    rows = np.arange(z.shape[0])
+    # the smallest k with h'(z_k) >= 0; h' > 0 above the largest atom below the top
+    lo_k, k = np.zeros(len(rows), dtype=np.intp), n - ties[live] - 1
+    while (searching := lo_k < k).any():
+        # a row done searching has mid == k, and so keeps its k
+        mid = (lo_k + k) // 2
+        a = mid[searching].min() + 1
+        up = _row_slopes(z[:, a:], w[a:], z[rows, mid], p, c) >= 0.0
+        k = np.where(up, mid, k)
+        lo_k = np.where(up, lo_k, mid + 1)
+    # the root lies in (lo, z_k], where the active atoms are z[k:]
+    below = z[rows, np.maximum(k - 1, 0)]
+    lo = below.copy()
+    first = k == 0
+    lo[first] = (c * (z[first] @ w) - c + 1.0) / (c - 1.0)
+    hi = z[rows, k]
+    a = k.min()
+    z, w = z[:, a:], w[a:]
+    if p == 2.0:
+        # mu - sqrt(V/(c^2*W - 1)) from the mass W, mean mu and variance V of
+        # the active atoms, taken in two passes on z - below; with
+        # c^2*W <= 1, h' > 0 throughout and the root is lo
+        active = np.arange(a, n) >= k[:, None]
+        mass = active @ w
+        y = np.where(active, z - below[:, None], 0.0)
+        mean = (y @ w) / mass
+        y = np.where(active, y - mean[:, None], 0.0)
+        excess = c * c * mass - 1.0
+        dist = np.full(len(rows), math.inf)
+        ok = excess > 0.0
+        dist[ok] = np.sqrt(((y[ok] * y[ok]) @ w) / mass[ok] / excess[ok])
+        s = np.minimum(np.maximum(below + mean - dist, lo), hi)
+    else:
+        # rows already closed keep halving their cells, which does no harm
+        while (hi - lo > 1e-15 * (1.0 - lo)).any():
+            mid = 0.5 * (lo + hi)
+            up = _row_slopes(z, w, mid, p, c) >= 0.0
+            hi = np.where(up, mid, hi)
+            lo = np.where(up, lo, mid)
+        s = hi
+    tau = np.maximum(z - s[:, None], 0.0) / -s[:, None]
+    values[live] = x_max + span * (s - c * s * ((tau**p) @ w) ** (1.0 / p))
+    minimizers[live] = x_max + span * s
+    return values, minimizers
 
 
 def higher_moment(m: DiscreteMeasure, p: float, c: float) -> tuple[float, float]:
@@ -169,105 +221,12 @@ def higher_moment(m: DiscreteMeasure, p: float, c: float) -> tuple[float, float]
     smallest, where the active tails are fixed, and the root is solved
     there: in closed form for p = 2, by bisection on the sign of h'
     otherwise.  Below the smallest atom the root is no less than
-    (c*E z - c + 1)/(c - 1), by Jensen.
+    (c*E z - c + 1)/(c - 1), by Jensen.  The measure is solved as a batch
+    of one row, by the solver that :func:`evaluate_batch` runs on many.
     """
     p, c = _check_pc(p, c)
-    x_max = float(m.positions[-1])
-    w = m.weights
-    if m.n_atoms == 1 or 1.0 - c * float(w[-1]) ** (1.0 / p) <= 0.0:
-        return x_max, x_max
-    z, _, span = _rescaled(m)
-    # the smallest k with h'(z_k) >= 0; h' > 0 between the two largest atoms
-    lo_k, k = 0, m.n_atoms - 2
-    while lo_k < k:
-        mid = (lo_k + k) // 2
-        if _slope(z[mid + 1 :], w[mid + 1 :], float(z[mid]), p, c) >= 0.0:
-            k = mid
-        else:
-            lo_k = mid + 1
-    # the root lies in (lo, z_k], where the active atoms are z[k:]
-    zk, wk = z[k:], w[k:]
-    lo = float(z[k - 1]) if k else (c * float(w @ z) - c + 1.0) / (c - 1.0)
-    hi = float(z[k])
-    if p == 2.0:
-        s = _quadratic_root(zk, wk, float(z[max(k - 1, 0)]), lo, hi, c)
-    else:
-        s = _bisect_in_cell(zk, wk, lo, hi, p, c)
-    tau = (zk - s) / -s
-    value = s - c * s * float(wk @ tau**p) ** (1.0 / p)
-    return x_max + span * value, x_max + span * s
-
-
-def _row_slopes(z: np.ndarray, s: np.ndarray, p: float, c: float) -> np.ndarray:
-    """:func:`_slope` of each equal-weight row of z at its own s < 0.
-
-    Atoms at or below s have no tail, so every atom enters, clipped at 0.
-    """
-    tau = np.maximum(z - s[:, None], 0.0)
-    tau /= -s[:, None]
-    tau_p1 = tau ** (p - 1.0)
-    n = z.shape[1]
-    b1 = tau_p1.sum(axis=1) / n
-    tau_p1 *= tau
-    return 1.0 - c * b1 / (tau_p1.sum(axis=1) / n) ** ((p - 1.0) / p)
-
-
-def _higher_moment_rows(x: np.ndarray, p: float, c: float) -> np.ndarray:
-    """:func:`higher_moment` values of the sorted equal-weight rows of x.
-
-    The same solve, run across the rows at once: the binary search over
-    the atoms, then the root in one cell, in closed form for p = 2 and by
-    bisection otherwise.  Ties stay unmerged; they change no tail sum,
-    and the largest atom's mass is its tie count over n.
-    """
-    n = x.shape[1]
-    x_max = x[:, -1]
-    top = (x == x_max[:, None]).sum(axis=1)
-    values = x_max.copy()
-    # constant rows have top == n and so fail this test too, as c > 1
-    live = 1.0 - c * (top / n) ** (1.0 / p) > 0.0
-    if not live.any():
-        return values
-    x, x_max, top = x[live], x_max[live], top[live]
-    span = x_max - x[:, 0]
-    z = (x - x_max[:, None]) / span[:, None]
-    rows = np.arange(z.shape[0])
-    # the smallest k with h'(z_k) >= 0; h' > 0 above the largest atom below the top
-    lo_k, k = np.zeros_like(top), n - top - 1
-    while (searching := lo_k < k).any():
-        mid = (lo_k + k) // 2
-        up = _row_slopes(z, z[rows, mid], p, c) >= 0.0
-        k = np.where(searching & up, mid, k)
-        lo_k = np.where(searching & ~up, mid + 1, lo_k)
-    # the root lies in (lo, z_k], where the active atoms are z[k:]
-    jensen = (c * z.mean(axis=1) - c + 1.0) / (c - 1.0)
-    below = z[rows, np.maximum(k - 1, 0)]
-    lo = np.where(k > 0, below, jensen)
-    hi = z[rows, k]
-    if p == 2.0:
-        # _quadratic_root, row-wise, anchored at the cell's left atom
-        active = np.arange(n) >= k[:, None]
-        count = n - k
-        y = np.where(active, z - below[:, None], 0.0)
-        mean = y.sum(axis=1) / count
-        y = np.where(active, y - mean[:, None], 0.0)
-        excess = c * c * count / n - 1.0
-        dist = np.full(len(rows), math.inf)
-        ok = excess > 0.0
-        dist[ok] = np.sqrt((y[ok] * y[ok]).sum(axis=1) / count[ok] / excess[ok])
-        s = np.minimum(np.maximum(below + mean - dist, lo), hi)
-    else:
-        # _bisect_in_cell, row-wise
-        while (open_ := hi - lo > 1e-15 * (1.0 - lo)).any():
-            mid = 0.5 * (lo + hi)
-            up = _row_slopes(z, mid, p, c) >= 0.0
-            hi = np.where(open_ & up, mid, hi)
-            lo = np.where(open_ & ~up, mid, lo)
-        s = hi
-    tau = np.maximum(z - s[:, None], 0.0) / -s[:, None]
-    value = s - c * s * ((tau**p).sum(axis=1) / n) ** (1.0 / p)
-    values[live] = x_max + span * value
-    return values
+    values, minimizers = _higher_moment_rows(m.positions[None], m.weights, p, c)
+    return float(values[0]), float(minimizers[0])
 
 
 def higher_moment_certificate(
@@ -433,7 +392,12 @@ RiskSpec = Union[CVaR, HigherMoment, KusuokaMixture, Explicit]
 
 
 def evaluate_risk(spec: RiskSpec, m: DiscreteMeasure) -> float:
-    """The risk of (the distribution) m under the given spec."""
+    """The risk of (the distribution) m under the given spec.
+
+    Raises :class:`NonFiniteValue` when the span of m's atoms overflows.
+    """
+    if not math.isfinite(float(m.positions[-1]) - float(m.positions[0])):
+        raise NonFiniteValue("the span of the atoms overflows a double")
     if isinstance(spec, CVaR):
         return cvar(m, spec.beta)
     if isinstance(spec, HigherMoment):
@@ -449,50 +413,33 @@ def evaluate_risk(spec: RiskSpec, m: DiscreteMeasure) -> float:
     raise InvalidParams(f"unknown risk spec {spec!r}")
 
 
-def _row_excess(x: np.ndarray):
-    """The integrated excess of each sorted equal-weight row of x, as a
-    function of levels u shared by all rows; see
-    :meth:`DiscreteMeasure.integrated_excess`.
-
-    The cumulative weights are the exact grid k/n, so every row has the same
-    cells; ties need no merging, since Phi does not change.
-    """
-    n = x.shape[1]
-    cells = np.arange(1, n) / n
-    prefix = np.zeros(x.shape)
-    np.cumsum(x[:, :-1] - x[:, :1], axis=1, out=prefix[:, 1:])
-    prefix /= n
-
-    def excess(u):
-        i = cells.searchsorted(u, side="left")
-        x0 = x[:, :1].reshape((-1,) + (1,) * i.ndim)
-        return prefix[:, i] + (x[:, i] - x0) * (u - i / n)
-
-    return excess
-
-
 def evaluate_batch(spec: RiskSpec, X) -> np.ndarray:
     """The risk of each row of X, a (B, n) array of equal-weight scenarios.
 
-    Row i gives ``evaluate_risk(spec, from_samples(X[i]))`` to round-off,
-    from one sort and one row-wise prefix of the integrated quantile.
-    CV@R, Kusuoka mixtures and finite families pair it with their targets
-    by parts; higher-moment runs its exact solve across the rows.  Hull
-    families go through :func:`evaluate_risk` row by row, so that they
-    keep one exact solver.
+    Row i gives ``evaluate_risk(spec, from_samples(X[i]))`` to round-off.
+    The rows are sorted once and read as measures on the shared grid k/n,
+    through the same code as a single measure: CV@R, Kusuoka mixtures and
+    finite families pair one row-wise prefix of the integrated quantile
+    with their targets by parts, and higher-moment runs its exact solve
+    across the rows.  Hull families go through :func:`evaluate_risk` row
+    by row, so that they keep one exact solver.  Raises
+    :class:`NonFiniteValue` when a value or the span of a row is not finite.
     """
     x = np.asarray(X, dtype=float)
     if x.size == 0:
         raise EmptyInput("a batch needs at least one row of at least one scenario")
     if x.ndim != 2:
         raise LengthMismatch(f"a batch must be a (rows, scenarios) array, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise NonFiniteValue("scenario values must be finite")
+    x = np.sort(x, axis=1)
+    # a sorted row ends on its nan, or on an infinity, if it holds one
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(x[:, -1] - x[:, 0]).all():
+            raise NonFiniteValue("scenario values and the span of each row must be finite")
     if isinstance(spec, Explicit) and spec.generators.hull_mode is HullMode.CONVEX_HULL:
         return np.array([evaluate_risk(spec, from_samples(row)) for row in x])
-    x = np.sort(x, axis=1)
+    n = x.shape[1]
     if isinstance(spec, HigherMoment):
-        return _higher_moment_rows(x, spec.p, spec.c)
+        return _higher_moment_rows(x, np.full(n, 1.0 / n), spec.p, spec.c)[0]
     if isinstance(spec, CVaR):
         target = cvar_target_set(spec.beta)
         y, rows = target.support, target.vertices
@@ -503,7 +450,10 @@ def evaluate_batch(spec: RiskSpec, X) -> np.ndarray:
         y, rows = spec.generators.support, spec.generators.vertices
     else:
         raise InvalidParams(f"unknown risk spec {spec!r}")
-    return _grid_values(x[:, :1], _row_excess(x), y, rows).max(axis=1)
+    cum = np.arange(1, n + 1) / n
+    edges, prefix = _excess_prefix(x, cum)
+    excess = functools.partial(_integrated_excess, x, cum, edges, prefix)
+    return _grid_values(x[:, :1], excess, y, rows).max(axis=1)
 
 
 def lipschitz_and_order(spec: RiskSpec) -> tuple[float, Union[float, Order]]:

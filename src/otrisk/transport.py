@@ -4,8 +4,8 @@ The transport problem maximizes E[x*y] over couplings of a distribution m
 with a target measure r of unit mean on the nonnegative half-line.  On
 the real line with this product cost, the maximum is attained by the
 comonotone (quantile) coupling.  Values pair r with the integrated
-quantile of m, read off m's prefix; optimal plans and exact dual
-potentials come out of one merged sweep over the two quantile partitions.
+quantile of m, read off m's prefix; optimal plans come out of one merged
+sweep over the two quantile partitions.
 
 A :class:`GeneratorSet` is the finite description of a whole family of
 target measures: a common support grid plus one weight vector per
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,13 +34,10 @@ __all__ = [
     "HullMode",
     "GeneratorSet",
     "Coupling",
-    "PotentialPair",
     "comonotone_coupling",
     "transport_value",
     "finite_set_value",
-    "exact_potentials",
     "lipschitz_constant",
-    "feasibility_violation",
 ]
 
 # weights this small are treated as absent when a mixture is materialized
@@ -205,36 +201,6 @@ class Coupling:
         return f"Coupling({self.n_atoms} atoms, objective={self.objective():.6g})"
 
 
-@dataclass(frozen=True)
-class PotentialPair:
-    """Dual potentials (f on the x-support, g on the y-grid).
-
-    Feasible when f(x) + g(y) >= x*y on the full product grid; the pairs
-    built by :func:`exact_potentials` are feasible with zero duality gap.
-    """
-
-    x_support: np.ndarray
-    f_values: np.ndarray
-    y_support: np.ndarray
-    g_values: np.ndarray
-
-    def pairing(self, m: DiscreteMeasure, r: DiscreteMeasure) -> float:
-        """Integral of f against m plus integral of g against r."""
-        fi = self.f_values[np.searchsorted(self.x_support, m.positions)]
-        gi = self.g_values[np.searchsorted(self.y_support, r.positions)]
-        return math.fsum((fi * m.weights).tolist()) + math.fsum((gi * r.weights).tolist())
-
-
-def feasibility_violation(pair: PotentialPair) -> float:
-    """max over the product grid of x*y - f(x) - g(y); <= 0 means feasible."""
-    gap = (
-        np.outer(pair.x_support, pair.y_support)
-        - pair.f_values[:, None]
-        - pair.g_values[None, :]
-    )
-    return float(gap.max())
-
-
 # ----------------------------------------------------------------------
 # comonotone coupling and transport values
 
@@ -295,64 +261,6 @@ def finite_set_value(
     values = _grid_values(m.positions[0], m.integrated_excess, R.support, R.vertices)
     best = int(np.argmax(values))
     return float(values[best]), best
-
-
-def exact_potentials(
-    m: DiscreteMeasure, r: DiscreteMeasure, y_support=None
-) -> PotentialPair:
-    """Complementary-slackness potentials for the singleton target {r}.
-
-    Propagates f(x) = x*y - g(y) and g(y) = x*y - f(x) along the
-    comonotone staircase starting from g(y_0) = 0.  When a simultaneous
-    jump disconnects the staircase, the new block's g is pinned by the
-    tightest constraint against every already-assigned x, which keeps the
-    pair feasible and the duality gap exactly zero.
-
-    ``y_support`` optionally supplies a larger grid (a superset of the
-    support of r, e.g. a generator grid where r charges only some
-    points); the extra points get the same tightest-constraint closure.
-    """
-    breaks, im, ir = merged_partition(m, r)
-    xs = m.positions
-    f = np.full(xs.size, np.nan)
-    if y_support is None:
-        ys = r.positions
-        rmap = np.arange(ys.size)
-    else:
-        ys = np.asarray(y_support, dtype=float)
-        rmap = np.searchsorted(ys, r.positions)
-        if not np.array_equal(ys[rmap], r.positions):
-            raise InvalidParams("y_support must contain the support of r")
-    g = np.full(ys.size, np.nan)
-
-    n_assigned = 0  # x atoms 0..n_assigned-1 already have f values
-    for i, j in zip(im.tolist(), rmap[ir].tolist()):
-        have_f = not math.isnan(f[i])
-        have_g = not math.isnan(g[j])
-        if have_f and have_g:
-            continue
-        if have_f:
-            g[j] = xs[i] * ys[j] - f[i]
-        elif have_g:
-            f[i] = xs[i] * ys[j] - g[j]
-            n_assigned = i + 1
-        else:
-            # new block: first cell pins g, either to 0 (start) or to the
-            # tightest feasible value against everything assigned so far
-            if n_assigned == 0:
-                g[j] = 0.0
-            else:
-                g[j] = float(np.max(xs[:n_assigned] * ys[j] - f[:n_assigned]))
-            f[i] = xs[i] * ys[j] - g[j]
-            n_assigned = i + 1
-
-    missing = np.isnan(g)
-    if np.any(missing):
-        # grid points never touched by the staircase: same closure rule
-        g[missing] = np.max(
-            xs[:, None] * ys[None, missing] - f[:, None], axis=0
-        )
-    return PotentialPair(xs, f, ys, g)
 
 
 def lipschitz_constant(R: GeneratorSet, q) -> float:

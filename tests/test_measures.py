@@ -165,6 +165,13 @@ def test_moment_accepts_inf_spellings():
     assert m.moment("inf") == 3.0
 
 
+def test_moment_far_from_unit_scale():
+    # the atoms are divided by a power of two before the power is taken
+    assert from_samples([1e200, -1e200]).moment(2) == pytest.approx(1e200, rel=1e-15)
+    assert from_samples([1e-200, -1e-200]).moment(2) == pytest.approx(1e-200, rel=1e-15)
+    assert from_samples([1.7e308, 0.0]).moment(3) == pytest.approx(1.7e308 / 2 ** (1 / 3), rel=1e-15)
+
+
 def test_moment_rejects_small_order():
     m = point_mass(1)
     with pytest.raises(InvalidOrder):

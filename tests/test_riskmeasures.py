@@ -438,6 +438,18 @@ def test_evaluate_batch_errors():
             evaluate_batch(HigherMoment(2.0, 1.2), X)
 
 
+@pytest.mark.parametrize(
+    "spec", [CVaR(0.99), KusuokaMixture(((0.25, 0.5), (0.6, 0.5))), HigherMoment(2.0, 1.2)]
+)
+def test_overflowing_span_is_a_typed_error(spec):
+    # finite values whose span overflows a double have no finite risk to report
+    x = [-1e308, 1e308, 5e307]
+    with pytest.raises(NonFiniteValue):
+        evaluate_risk(spec, from_samples(x))
+    with pytest.raises(NonFiniteValue):
+        evaluate_batch(spec, [x, [0.0, 1.0, 2.0]])
+
+
 def unit_mean_vertex(rng, support):
     """Random simplex point with unit mean: mix two-point unit-mean bricks."""
     below = np.where(support < 1.0)[0]

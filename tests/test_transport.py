@@ -1,4 +1,4 @@
-"""Tests for couplings, transport values, and exact potentials."""
+"""Tests for couplings and transport values."""
 
 import math
 
@@ -14,8 +14,6 @@ from otrisk.transport import (
     GeneratorSet,
     HullMode,
     comonotone_coupling,
-    exact_potentials,
-    feasibility_violation,
     finite_set_value,
     lipschitz_constant,
     transport_value,
@@ -248,63 +246,6 @@ def test_million_atom_values_match_the_coupling(kind):
 
     spec = KusuokaMixture(((0.0, 0.3), (0.5, 0.4), (0.9, 0.3)))
     agrees(evaluate_risk(spec, m), spec.image().image_measure)
-
-
-# ----------------------------------------------------------------------
-# exact potentials
-
-
-def test_exact_potentials_worked_example():
-    m = uniform_on([1, 3])
-    r = two_point_target(0.5)
-    pair = exact_potentials(m, r)
-    assert pair.f_values.tolist() == [0.0, 4.0]
-    assert pair.g_values.tolist() == [0.0, 2.0]
-    assert pair.pairing(m, r) == 3.0
-    # the disconnected-block closure makes f(1) + g(2) = 2 >= 1*2 binding
-    assert pair.f_values[0] + pair.g_values[1] == 2.0
-    assert feasibility_violation(pair) <= 0.0
-
-
-def test_exact_potentials_point_masses():
-    pair = exact_potentials(point_mass(3.0), point_mass(1.0))
-    assert pair.f_values.tolist() == [3.0]
-    assert pair.g_values.tolist() == [0.0]
-
-
-def test_exact_potentials_zero_gap_and_feasible():
-    rng = np.random.default_rng(10)
-    for _ in range(200):
-        m, r = random_instance(rng)
-        pair = exact_potentials(m, r)
-        value = transport_value(m, r)
-        assert pair.g_values[0] == 0.0 or r.n_atoms == 1
-        assert feasibility_violation(pair) <= 1e-12
-        assert pair.pairing(m, r) == pytest.approx(value, rel=1e-10, abs=1e-10)
-
-
-def test_exact_potentials_weak_duality_with_slack():
-    # any feasible pair upper-bounds the transport value; add slack and check
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        m, r = random_instance(rng)
-        pair = exact_potentials(m, r)
-        slack = rng.uniform(0.0, 1.0, size=pair.f_values.size)
-        loose = type(pair)(pair.x_support, pair.f_values + slack, pair.y_support, pair.g_values)
-        assert feasibility_violation(loose) <= 1e-12
-        assert loose.pairing(m, r) >= transport_value(m, r) - 1e-10
-
-
-def test_exact_potentials_extended_grid():
-    m = uniform_on([1, 2, 3, 4])
-    r = two_point_target(0.5)
-    grid = np.array([0.0, 1.0, 2.0, 5.0])
-    pair = exact_potentials(m, r, y_support=grid)
-    assert pair.y_support.tolist() == grid.tolist()
-    assert feasibility_violation(pair) <= 1e-12
-    # the extension is tight: each added g value binds for some x
-    prod = np.outer(pair.x_support, grid) - pair.f_values[:, None] - pair.g_values[None, :]
-    assert prod.max(axis=0)[3] == pytest.approx(0.0, abs=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ from otrisk import (
     InvalidParams,
     KusuokaMixture,
     LengthMismatch,
+    NonFiniteValue,
     SplitMix64,
     check_axioms,
     check_bounds,
@@ -263,6 +264,30 @@ def test_bounds_flag_broken_functional(monkeypatch):
     assert not report.passed
     assert {c.name for c in report.checks if c.max_violation > 0.9} >= {"aversity"}
     assert report.worst().witness is not None
+
+
+def test_bounds_refuse_an_overflowing_span():
+    x = np.array([-1e308, 1e308, 5e307])
+    with pytest.raises(NonFiniteValue):
+        check_bounds(CVaR(0.99), [(x, x / 2)], 1e-9)
+
+
+def test_row_moments_far_from_unit_scale():
+    x = np.array([[1e200, -1e200], [1e-200, -1e-200], [0.0, 0.0]])
+    got = otrisk.verify._row_moments(x, 2.0)
+    assert got.tolist() == pytest.approx([1e200, 1e-200, 0.0], rel=1e-15)
+
+
+def test_bounds_hold_at_large_magnitudes(monkeypatch):
+    spec = HigherMoment(2.0, 1.2)
+    pairs = sample_pairs(0, 40, scale=1e306)
+    assert check_bounds(spec, pairs, tol=1e-6).passed
+    # the moments stay finite, so a functional above the elementary bound fails
+    monkeypatch.setattr(
+        otrisk.verify, "evaluate_batch", rowwise(lambda spec, m: 2.0 * spec.c * m.moment(2.0))
+    )
+    by_name = {c.name: c for c in check_bounds(spec, pairs, tol=1e-6).checks}
+    assert by_name["elementary"].max_violation > 1e305
 
 
 # ----------------------------------------------------- brute-force crosscheck
