@@ -11,8 +11,9 @@ Input CSV: one sample per line, optional second column with a relative
 weight, the same number of columns on every row.  Before the first row,
 any line whose first token is not a number is skipped (headers, blank
 lines); after it, empty lines are skipped.  numpy's text reader parses the
-rows, reading each token as numpy reads a decimal float, correctly rounded
-as by ``float()``; whitespace around tokens is ignored.  Unlike
+rows, in blocks from the file's path, or line by line when the input is a
+pipe.  It reads each token as numpy reads a decimal float, correctly
+rounded as by ``float()``; whitespace around tokens is ignored.  Unlike
 ``float()``, it rejects whitespace-only lines, digit-group underscores
 (``1_000``) and non-ASCII digits.  A bad token or row width exits 2,
 naming the file line unless the input is a pipe, which cannot be re-read.
@@ -48,11 +49,13 @@ from .riskmeasures import (
     higher_moment,
     kusuoka_image,
 )
-from .transport import GeneratorSet, HullMode, comonotone_coupling, finite_set_value
+from .transport import GeneratorSet, HullMode, _comonotone_atoms, _objective, finite_set_value
 from .verify import check_axioms, check_bounds, default_tolerance, sample_pairs
 
 SCHEMA_VERSION = 1
 SNAP_TOL = 1e-12
+# numpy opens a path with one of these suffixes through a decompressor
+COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -211,7 +214,12 @@ def _csv_error(fh, header_lines: int, exc: ValueError) -> CliError:
 
 
 def read_samples_csv(path: str, snap_atoms: bool = False) -> DiscreteMeasure:
-    """Parse a CSV of samples (optional weight column, optional header)."""
+    """Parse a CSV of samples (optional weight column, optional header).
+
+    numpy reads a path in blocks but a file object line by line, so a file
+    is parsed again from its path, past the header lines found here; a pipe
+    cannot be, and numpy reads it on from this handle.
+    """
     from itertools import chain
 
     try:
@@ -233,9 +241,15 @@ def read_samples_csv(path: str, snap_atoms: bool = False) -> DiscreteMeasure:
                     f"line {header_lines + 1}: expected 1 or 2 columns, "
                     f"got {line.count(',') + 1}",
                 )
-            rows = chain([line], fh)
+            if fh.seekable() and not path.endswith(COMPRESSED_SUFFIXES):
+                # absolute, so that numpy cannot take the path for a URL
+                rows, skip = os.path.abspath(path), header_lines
+            else:
+                rows, skip = chain([line], fh), 0
             try:
-                table = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None, dtype=float)
+                table = np.loadtxt(
+                    rows, delimiter=",", ndmin=2, comments=None, dtype=float, skiprows=skip
+                )
             except ValueError as exc:
                 raise _csv_error(fh, header_lines, exc) from exc
     except OSError as exc:
@@ -387,10 +401,11 @@ def _measure_summary(m: DiscreteMeasure) -> dict:
     }
 
 
-def _coupling_summary(coupling, target: DiscreteMeasure) -> dict:
+def _coupling_summary(xs, ys, masses, target: DiscreteMeasure) -> dict:
+    """A coupling's size and objective, from its atoms as arrays."""
     return {
-        "n_atoms": coupling.n_atoms,
-        "objective": coupling.objective(),
+        "n_atoms": xs.size,
+        "objective": _objective(xs, ys, masses),
         "target_positions": target.positions.tolist(),
         "target_weights": target.weights.tolist(),
     }
@@ -423,14 +438,17 @@ def cmd_eval(args) -> tuple[dict, int]:
                 report["value"] = gap.primal_lower
                 report["status"] = gap.status.value
                 report["gap"] = gap.gap
-                report["coupling"] = _coupling_summary(gap.primal_coupling, target)
+                coupling = gap.primal_coupling
+                report["coupling"] = _coupling_summary(
+                    coupling.xs, coupling.ys, coupling.masses, target
+                )
             else:
                 value, idx = finite_set_value(measure, generators)
                 target = generators.vertex_measure(idx)
-                coupling = comonotone_coupling(measure, target)
                 report["value"] = value
                 report["vertex_index"] = idx
-                report["coupling"] = _coupling_summary(coupling, target)
+                # the coupling's atoms as arrays: no Coupling object is built
+                report["coupling"] = _coupling_summary(*_comonotone_atoms(measure, target), target)
     except OTRiskError as exc:
         raise CliError(EXIT_NUMERIC, type(exc).__name__, str(exc)) from exc
     return report, EXIT_OK

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadOptions, NonFiniteValue
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _fsum
 from .transport import (
     Coupling,
     GeneratorSet,
@@ -160,7 +160,7 @@ def dual_objective(m: DiscreteMeasure, R: GeneratorSet, g) -> float:
     gv = _as_g(g)
     conj, _ = _conjugate_profile(gv, R, m.positions)
     sigma, _ = support_function(R, gv)
-    return math.fsum((conj * m.weights).tolist()) + sigma
+    return _fsum(conj * m.weights) + sigma
 
 
 def double_conjugate_refine(m: DiscreteMeasure, R: GeneratorSet, g) -> DualPotential:

@@ -115,11 +115,15 @@ class DiscreteMeasure:
     ``cumulative`` is the running sum of weights with the last entry
     pinned to 1.0.  All three arrays are read-only; instances are
     immutable and safe to share across threads.
+
+    The weights given must already sum to one within 1e-9; :func:`from_samples`
+    builds a measure from relative masses instead, normalized once after
+    their duplicates merge (the private ``_masses`` flag).
     """
 
     __slots__ = ("positions", "weights", "cumulative", "_prefix")
 
-    def __init__(self, positions, weights):
+    def __init__(self, positions, weights, *, _masses: bool = False):
         pos = np.atleast_1d(np.asarray(positions, dtype=float))
         w = np.atleast_1d(np.asarray(weights, dtype=float))
         if pos.size == 0:
@@ -138,18 +142,9 @@ class DiscreteMeasure:
         if (w <= 0.0).any():
             raise NegativeWeight("weights must be strictly positive")
 
-        order = pos.argsort(kind="stable")
-        pos = pos[order]
-        w = w[order]
-        if (pos[1:] == pos[:-1]).any():
-            # merge exact duplicates (positions equal bit-for-bit)
-            uniq, inverse = np.unique(pos, return_inverse=True)
-            merged = np.zeros(uniq.size)
-            np.add.at(merged, inverse, w)
-            pos, w = uniq, merged
-
+        pos, w = _merged(pos, w)
         w, total = _normalized(w)
-        if abs(total - 1.0) > NORMALIZATION_TOL:
+        if not _masses and abs(total - 1.0) > NORMALIZATION_TOL:
             raise ZeroTotalWeight(
                 f"weights must sum to 1 within {NORMALIZATION_TOL:g} "
                 f"(got {total!r}); use from_samples for unnormalized masses"
@@ -214,7 +209,7 @@ class DiscreteMeasure:
 
     def expectation(self) -> float:
         """Mean of the measure (compensated summation)."""
-        return math.fsum((self.positions * self.weights).tolist())
+        return _fsum(self.positions * self.weights)
 
     def moment(self, p) -> float:
         """p-th absolute moment (sum w|x|^p)^(1/p); sup |x| for p = INF."""
@@ -222,11 +217,7 @@ class DiscreteMeasure:
         a = np.abs(self.positions)
         if p is INF:
             return float(a.max())
-        # divided exactly by the power of two above the largest |x|, so that
-        # no power overflows
-        e = math.frexp(float(a.max()))[1]
-        s = math.fsum(((np.ldexp(a, -e) ** p) * self.weights).tolist())
-        return math.ldexp(s ** (1.0 / p), e)
+        return _scaled_norm(a, self.weights, p)
 
     def cells(self, u) -> np.ndarray:
         """Atom index of the quantile cell (e_i, C_i] holding each level u."""
@@ -275,6 +266,40 @@ def _integrated_excess(x, cum, edges, prefix, u: np.ndarray) -> np.ndarray:
     return prefix[..., i] + (x[..., i] - x0) * (u - edges[i])
 
 
+def _fsum(a: np.ndarray) -> float:
+    """Exactly rounded sum of a float array, read through its buffer.
+
+    Same value as ``math.fsum(a.tolist())``, without building the list.
+    """
+    return math.fsum(memoryview(a))
+
+
+def _scaled_norm(a: np.ndarray, w: np.ndarray, p: float) -> float:
+    """(sum w a^p)^(1/p) for a >= 0, divided exactly by the power of two
+    above the largest a before the power, so that no power overflows."""
+    e = math.frexp(float(a.max()))[1]
+    return math.ldexp(_fsum((np.ldexp(a, -e) ** p) * w) ** (1.0 / p), e)
+
+
+def _merged(pos: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """pos sorted with exact duplicates merged, and the total of w on each.
+
+    One argsort; a merged total adds its parts in input order (bincount), as
+    a stable sort followed by ``np.add.at`` would, so the sums are the same
+    doubles.  Which of +0 and -0 stands for a merged zero follows the sort.
+    """
+    order = pos.argsort()
+    pos = pos[order]
+    first = np.empty(pos.size, dtype=bool)
+    first[0] = True
+    np.not_equal(pos[1:], pos[:-1], out=first[1:])
+    if first.all():
+        return pos, w[order]
+    group = np.empty(order.size, dtype=np.intp)
+    group[order] = first.cumsum() - 1
+    return pos[first], np.bincount(group, weights=w)
+
+
 def _normalized(w: np.ndarray) -> tuple[np.ndarray, float]:
     """(w / total, total) for positive weights, with total = fsum(w).
 
@@ -284,7 +309,7 @@ def _normalized(w: np.ndarray) -> tuple[np.ndarray, float]:
     """
     scale = 2.0 ** (math.frexp(float(w.max()))[1] - 1)
     w = w / scale
-    total = math.fsum(w.tolist())
+    total = _fsum(w)
     return w / total, total * scale
 
 
@@ -296,8 +321,9 @@ def from_samples(values: Sequence[float], weights: Sequence[float] | None = None
     """Empirical measure of a sample, with optional relative masses.
 
     Missing ``weights`` mean uniform 1/n.  Given weights may be any
-    nonnegative masses (zeros are dropped); they are normalized by their
-    total.
+    nonnegative masses (zeros are dropped).  Equal values merge their raw
+    masses first, and the merged masses are normalized once by their total,
+    so integer masses give correctly rounded weights.
     """
     vals = np.atleast_1d(np.asarray(values, dtype=float))
     if vals.size == 0:
@@ -307,7 +333,7 @@ def from_samples(values: Sequence[float], weights: Sequence[float] | None = None
     if not np.isfinite(vals).all():
         raise NonFiniteValue("sample values must be finite")
     if weights is None:
-        w = np.full(vals.size, 1.0 / vals.size)
+        w = np.ones(vals.size)
     else:
         w = np.atleast_1d(np.asarray(weights, dtype=float))
         if w.shape != vals.shape:
@@ -320,10 +346,13 @@ def from_samples(values: Sequence[float], weights: Sequence[float] | None = None
             raise NegativeWeight("weights must be nonnegative")
         if not (w > 0.0).any():
             raise ZeroTotalWeight("weights sum to zero")
-        w = _normalized(w)[0]
-        keep = w > 0.0  # zeros, and weights that vanish beside the total
-        vals, w = vals[keep], w[keep]
-    return DiscreteMeasure(vals, w)
+        # divided exactly by the power of two at or below the largest mass,
+        # so that merged masses cannot overflow
+        w = w / 2.0 ** (math.frexp(float(w.max()))[1] - 1)
+        keep = w > 0.0  # zeros, and masses that vanish beside the largest
+        if not keep.all():
+            vals, w = vals[keep], w[keep]
+    return DiscreteMeasure(vals, w, _masses=True)
 
 
 def point_mass(x: float) -> DiscreteMeasure:
@@ -375,5 +404,5 @@ def wasserstein_p(m1: DiscreteMeasure, m2: DiscreteMeasure, p) -> float:
         return float(gap.max())
     widths = np.diff(breaks, prepend=0.0)
     if p == 1.0:
-        return math.fsum((gap * widths).tolist())
-    return math.fsum(((gap**p) * widths).tolist()) ** (1.0 / p)
+        return _fsum(gap * widths)
+    return _scaled_norm(gap, widths, p)

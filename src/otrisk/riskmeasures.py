@@ -37,7 +37,9 @@ from .measures import (
     DiscreteMeasure,
     Order,
     _excess_prefix,
+    _fsum,
     _integrated_excess,
+    _merged,
     as_order,
     conjugate_order,
     from_samples,
@@ -262,7 +264,7 @@ def _certificate_at(
     root = float(m.weights @ tail**p) ** (1.0 / p)  # a^(1/p) / -s, a on the rescaled atoms
     uq = -s * root / c ** (q - 1.0)
     conj = (uq / p) * (tail * (c ** (q - 1.0) / root)) ** p
-    dual_z = math.fsum((conj * m.weights).tolist()) + uq / q * c**q
+    dual_z = _fsum(conj * m.weights) + uq / q * c**q
     return t_bar, span * uq / q, t_bar + span * dual_z
 
 
@@ -303,16 +305,10 @@ def kusuoka_image(atoms) -> KusuokaImage:
         raise InvalidMixture(f"mixture levels must lie in [0, {MAX_BETA}]")
     if np.any(weights <= 0.0):
         raise InvalidMixture("mixture weights must be strictly positive")
-    if abs(math.fsum(weights.tolist()) - 1.0) > 1e-12:
+    if abs(_fsum(weights) - 1.0) > 1e-12:
         raise InvalidMixture("mixture weights must sum to 1 within 1e-12")
 
-    order = np.argsort(betas, kind="stable")
-    betas, weights = betas[order], weights[order]
-    if np.any(np.diff(betas) == 0.0):
-        uniq, inverse = np.unique(betas, return_inverse=True)
-        merged = np.zeros(uniq.size)
-        np.add.at(merged, inverse, weights)
-        betas, weights = uniq, merged
+    betas, weights = _merged(betas, weights)
 
     jumps = weights / (1.0 - betas)
     values = np.cumsum(jumps)

@@ -17,7 +17,6 @@ values come from the cutting-plane solver in :mod:`otrisk.dualsolver`.
 from __future__ import annotations
 
 import enum
-import math
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .errors import (
     NonFiniteValue,
     WrongMode,
 )
-from .measures import DiscreteMeasure, as_order, from_samples, merged_partition, INF
+from .measures import DiscreteMeasure, _fsum, as_order, from_samples, merged_partition, INF
 
 __all__ = [
     "HullMode",
@@ -160,7 +159,7 @@ class Coupling:
             raise EmptyInput("a coupling needs at least one atom")
         if np.any(masses <= 0.0):
             raise InvalidParams("coupling masses must be strictly positive")
-        total = math.fsum(masses.tolist())
+        total = _fsum(masses)
         if abs(total - 1.0) > 1e-12:
             raise InvalidParams(f"coupling masses must sum to 1 within 1e-12, got {total!r}")
         for arr in (xs, ys, masses):
@@ -195,7 +194,7 @@ class Coupling:
 
     def objective(self) -> float:
         """E[x*y] under the coupling (compensated summation)."""
-        return math.fsum((self.xs * self.ys * self.masses).tolist())
+        return _objective(self.xs, self.ys, self.masses)
 
     def __repr__(self) -> str:
         return f"Coupling({self.n_atoms} atoms, objective={self.objective():.6g})"
@@ -214,9 +213,18 @@ def comonotone_coupling(m: DiscreteMeasure, r: DiscreteMeasure) -> Coupling:
     1e-15) stay simultaneous, so the support is a monotone staircase with
     at most |m| + |r| - 1 atoms.
     """
+    return Coupling(*_comonotone_atoms(m, r))
+
+
+def _comonotone_atoms(m: DiscreteMeasure, r: DiscreteMeasure) -> tuple[np.ndarray, ...]:
+    """The atoms of :func:`comonotone_coupling` as arrays: xs, ys and masses."""
     breaks, im, ir = merged_partition(m, r)
-    widths = np.diff(breaks, prepend=0.0)
-    return Coupling(m.positions[im], r.positions[ir], widths)
+    return m.positions[im], r.positions[ir], np.diff(breaks, prepend=0.0)
+
+
+def _objective(xs: np.ndarray, ys: np.ndarray, masses: np.ndarray) -> float:
+    """E[x*y] over the atoms of a coupling (compensated summation)."""
+    return _fsum(xs * ys * masses)
 
 
 def _grid_values(x0, excess, y: np.ndarray, rows: np.ndarray) -> np.ndarray:

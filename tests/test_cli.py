@@ -5,13 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 import otrisk
-from otrisk import NonFiniteValue, from_samples
+from otrisk import GeneratorSet, NonFiniteValue, comonotone_coupling, from_samples
 from otrisk.cli import emit_json, main, read_samples_csv
 
 
@@ -103,6 +104,22 @@ def test_eval_explicit_hull(capsys, tmp_path):
     assert code == 0
     assert rep["value"] == pytest.approx(15.0 / 8.0, abs=1e-9)
     assert rep["vertex_index"] in (0, 1)
+
+
+def test_eval_finite_set_coupling_fields_match_the_coupling(capsys, tmp_path):
+    # the report reads the coupling's size and objective without building it
+    rng = np.random.default_rng(7)
+    rows = zip(np.round(rng.standard_t(4, 5000), 2).tolist(), rng.integers(1, 9, 5000).tolist())
+    path = write_csv(tmp_path, "m.csv", "".join(f"{v!r},{k}\n" for v, k in rows))
+    support = [0.0, 0.5, 1.5, 4.0]
+    vertices = [[1.0 / 3.0, 0.0, 2.0 / 3.0, 0.0], [0.0, 6.0 / 7.0, 0.0, 1.0 / 7.0]]
+    spec = json.dumps({"type": "explicit", "support": support, "vertices": vertices})
+    code, rep = run_cli(capsys, "eval", "--input", path, "--spec-json", spec)
+    assert code == 0
+    target = GeneratorSet(support, vertices).vertex_measure(rep["vertex_index"])
+    coupling = comonotone_coupling(read_samples_csv(path), target)
+    assert rep["coupling"]["n_atoms"] == coupling.n_atoms
+    assert rep["coupling"]["objective"] == coupling.objective()
 
 
 def test_eval_hull_reports_status_and_gap(capsys, tmp_path):
@@ -293,12 +310,21 @@ def test_reader_rounds_like_float(tmp_path):
 def run_cli_on_pipe(capsys, text, spec):
     """otrisk eval reading its CSV from a pipe, which cannot seek."""
     read_end, write_end = os.pipe()
+
+    def feed():  # from a thread, as a pipe holds less than a large CSV
+        with open(write_end, "wb") as fh:
+            try:
+                fh.write(text.encode())
+            except BrokenPipeError:  # the reader stopped at a bad row
+                pass
+
+    writer = threading.Thread(target=feed)
+    writer.start()
     try:
-        os.write(write_end, text.encode())
-        os.close(write_end)
         return run_cli(capsys, "eval", "--input", f"/dev/fd/{read_end}", "--spec-json", spec)
     finally:
         os.close(read_end)
+        writer.join()
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
@@ -316,6 +342,43 @@ def test_reader_reads_a_pipe(capsys, tmp_path):
     assert code == 2
     assert rep["error"]["kind"] == "csv"
     assert "abc" in rep["error"]["message"]
+
+
+def large_csv(rows):
+    """A CSV across many of numpy's read blocks: a header, blank lines, CRLF
+    line ends and a weight column."""
+    rng = np.random.default_rng(20261022)
+    values, weights = rng.standard_t(4, rows).tolist(), rng.integers(1, 9, rows).tolist()
+    lines = [f"{v!r},{k}" for v, k in zip(values, weights)]
+    for i in range(0, rows, 997):
+        lines[i] += "\r\n"  # a blank line after every 997th row
+    return "pnl,weight\r\n\r\n" + "\r\n".join(lines) + "\r\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_reader_reads_a_large_file_and_pipe_alike(capsys, tmp_path):
+    spec = '{"type":"kusuoka","atoms":[[0.5,0.25],[0.9,0.75]]}'
+    text = large_csv(200_000)
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode())
+    code, rep = run_cli_on_pipe(capsys, text, spec)
+    want_code, want = run_cli(capsys, "eval", "--input", str(path), "--spec-json", spec)
+    assert code == want_code == 0
+    rep["input"].pop("path"), want["input"].pop("path")
+    assert rep == want
+    assert want["input"]["n_atoms"] == 200_000
+
+
+def test_reader_names_a_bad_row_far_into_a_file(capsys, tmp_path):
+    lines = large_csv(200_000).split("\r\n")
+    bad = 150_300  # 0-based index of the line to break: the 150 148th sample row
+    assert lines[bad]
+    lines[bad] = lines[bad].replace(",", ",x")
+    path = write_csv(tmp_path, "bad.csv", "\n".join(lines))
+    spec = '{"type":"cvar","beta":0.5}'
+    code, rep = run_cli(capsys, "eval", "--input", path, "--spec-json", spec)
+    assert code == 2
+    assert rep["error"]["message"].startswith(f"line {bad + 1}: could not read ")
 
 
 # --------------------------------------------------------------------- dual
@@ -510,7 +573,8 @@ def test_reports_are_bit_for_bit_reproducible(tmp_path, quartet_csv):
     argv = ["dual", "--input", quartet_csv, "--spec-json", '{"type":"cvar","beta":0.8}']
     assert main(argv + ["--out", out1]) == 0
     assert main(argv + ["--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    with open(out1, "rb") as first, open(out2, "rb") as second:
+        assert first.read() == second.read()
     # no temp files left behind by the atomic write
     assert not [f for f in os.listdir(tmp_path) if f.startswith(".report-")]
 

@@ -1,6 +1,8 @@
 """Tests for discrete measures: construction, quantiles, moments, Wasserstein."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,6 +91,65 @@ def test_direct_construction_rejects_badly_normalized_weights():
     # but tolerates ingestion round-off below 1e-9
     m = DiscreteMeasure([1, 2], [0.5 + 1e-10, 0.5])
     assert math.isclose(float(m.weights.sum()), 1.0, abs_tol=TOL_EXACT)
+
+
+def _stable_merge(x, w):
+    """Exact duplicates merged by a stable sort and np.add.at: the reference."""
+    order = x.argsort(kind="stable")
+    pos, inverse = np.unique(x[order], return_inverse=True)
+    total = np.zeros(pos.size)
+    np.add.at(total, inverse, w[order])
+    return pos, total
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-3, 3), st.floats(1.0, 10.0), st.integers(-300, 300)),
+        min_size=1,
+        max_size=40,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_merged_masses_add_in_input_order(atoms):
+    # few distinct positions, so most atoms tie; masses from 1e-300 to 1e301
+    x = np.array([k / 4 for k, _, _ in atoms])
+    mass = np.array([m * 10.0**e for _, m, e in atoms])
+    pos, total = measures._merged(x, mass)
+    want_pos, want_total = _stable_merge(x, mass)
+    assert pos.tobytes() == want_pos.tobytes()
+    assert total.tobytes() == want_total.tobytes()
+    # the same sums feed the normalization of a direct construction
+    w = mass / mass.sum()
+    x, w = x[w > 0.0], w[w > 0.0]
+    got = DiscreteMeasure(x, w)
+    want = DiscreteMeasure(*_stable_merge(x, w))  # sorted and distinct: nothing to merge
+    assert got.positions.tobytes() == want.positions.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
+
+
+def test_integer_masses_give_correctly_rounded_weights():
+    # tied raw masses merge before the one normalization, so each weight is
+    # the double nearest its exact share
+    rng = np.random.default_rng(20261022)
+    for _ in range(200):
+        n = int(rng.integers(2, 30))
+        values = rng.integers(-5, 6, n) / 10
+        masses = rng.integers(1, 100, n)
+        m = from_samples(values, masses)
+        total = int(masses.sum())
+        shares = {}
+        for v, k in zip(values.tolist(), masses.tolist()):
+            shares[v] = shares.get(v, 0) + k
+        assert m.positions.tolist() == sorted(shares)
+        assert m.weights.tolist() == [float(Fraction(shares[v], total)) for v in sorted(shares)]
+
+
+def test_integer_weighted_mean_with_ties_is_correctly_rounded():
+    # summed after normalizing, the four tied masses at -0.5 came out an ulp
+    # off, and so did the mean
+    values, masses = [-0.5, -0.5, 0.2, -0.5, -0.5], [4, 1, 2, 1, 5]
+    exact = sum(Fraction(v) * k for v, k in zip(values, masses)) / sum(masses)
+    assert from_samples(values, masses).expectation() == float(exact)
 
 
 def test_measures_are_immutable():
@@ -231,6 +292,18 @@ def test_wasserstein_matches_polytope_oracle():
             cost = np.abs(np.subtract.outer(m1.positions, m2.positions)) ** p
             want = oracles.min_cost_transport(cost, m1.weights, m2.weights) ** (1 / p)
             assert wasserstein_p(m1, m2, p) == pytest.approx(want, abs=1e-9)
+
+
+def test_wasserstein_far_from_unit_scale():
+    # the gaps are divided by a power of two before the power is taken
+    far = from_samples([1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert wasserstein_p(from_samples([0.0]), far, 2) == 1e200
+        near = wasserstein_p(from_samples([0.0, 1.0]), from_samples([1e-200, 1.0]), 2)
+        assert near == pytest.approx(1e-200 / math.sqrt(2), rel=1e-15)
+        huge = wasserstein_p(from_samples([0.0, 1.7e308]), point_mass(0.0), 3)
+        assert huge == pytest.approx(1.7e308 / 2 ** (1 / 3), rel=1e-15)
 
 
 def test_wasserstein_inf_order():
